@@ -47,23 +47,6 @@ const std::vector<std::string>& kernels() {
   return k;
 }
 
-select::CurveOptions curve_options(const ir::Program& prog) {
-  // Mirror workloads::build_task's effort caps so the bench measures the
-  // same work the toolchain actually runs.
-  select::CurveOptions opts;
-  int max_block = 0;
-  for (const auto& b : prog.blocks())
-    max_block = std::max(max_block, b.dfg.num_nodes());
-  if (max_block > 600) {
-    opts.enum_opts.max_candidates = 20000;
-    opts.enum_opts.max_candidate_nodes = 16;
-  } else {
-    opts.enum_opts.max_candidates = 60000;
-    opts.enum_opts.max_candidate_nodes = 24;
-  }
-  return opts;
-}
-
 std::string serialize_curve(const select::ConfigCurve& c) {
   std::string s;
   char buf[96];
@@ -135,7 +118,7 @@ int main(int argc, char** argv) {
     const ir::Program prog = workloads::make_benchmark(name);
     const auto counts = prog.wcet_counts(ir::Program::sum_cost(
         [&lib](const ir::Node& n) { return lib.sw_cycles(n); }));
-    const auto opts = curve_options(prog);
+    const auto opts = workloads::default_curve_options(prog);
 
     KernelResult kr;
     kr.name = name;

@@ -1,11 +1,9 @@
 #include "isex/ise/enumerate.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <unordered_set>
 
 #include "isex/obs/trace.hpp"
-#include "isex/util/task_pool.hpp"
 
 namespace isex::ise {
 
@@ -25,15 +23,6 @@ struct EnumStats {
   long seeds_total = 0;
   long seeds_processed = 0;
 };
-
-/// True when this enumeration may fan out across worker threads. Budgets
-/// with deterministic limits (nodes/memory) pin the exact serial schedule so
-/// truncation points stay byte-reproducible; wall-clock-only budgets are
-/// nondeterministic either way and may be shared across workers.
-bool parallel_allowed(const robust::Budget* b) {
-  return util::max_threads() > 1 &&
-         (b == nullptr || !b->deterministic_limits());
-}
 
 /// Grows the MaxMISO of `root`: absorb a predecessor when it is valid and
 /// all of its consumers are already inside (so only root's value escapes).
@@ -67,12 +56,13 @@ util::Bitset miso_grow(const ir::Dfg& dfg, const util::Bitset& valid,
   return s;
 }
 
-std::vector<Candidate> maximal_misos_serial(const ir::Dfg& dfg,
-                                            const hw::CellLibrary& lib,
-                                            const Constraints& c, int block,
-                                            double exec_freq,
-                                            robust::Budget* budget,
-                                            EnumStats* stats) {
+std::vector<Candidate> maximal_misos_impl(const ir::Dfg& dfg,
+                                          const hw::CellLibrary& lib,
+                                          const Constraints& c, int block,
+                                          double exec_freq,
+                                          robust::Budget* budget,
+                                          EnumStats* stats) {
+  ISEX_SPAN_CAT("ise.maximal_misos", "ise");
   long input_rejects = 0, duplicates = 0;
   std::vector<Candidate> out;
   std::unordered_set<util::Bitset, util::BitsetHash> seen;
@@ -114,82 +104,6 @@ std::vector<Candidate> maximal_misos_serial(const ir::Dfg& dfg,
   return out;
 }
 
-/// Parallel MaxMISO enumeration, byte-identical to the serial path: grow and
-/// input-check every root concurrently, dedup serially in root order (the
-/// order decides which root "owns" a repeated pattern), then build the
-/// accepted candidates concurrently and append them in root order.
-std::vector<Candidate> maximal_misos_parallel(const ir::Dfg& dfg,
-                                              const hw::CellLibrary& lib,
-                                              const Constraints& c, int block,
-                                              double exec_freq,
-                                              EnumStats* stats) {
-  dfg.prepare();
-  const util::Bitset& valid = dfg.valid_mask();
-  const int n = dfg.num_nodes();
-  if (stats != nullptr) {
-    stats->seeds_total = n;
-    stats->seeds_processed = n;
-  }
-  std::vector<int> roots;
-  for (int root = 0; root < n; ++root)
-    if (valid.test(static_cast<std::size_t>(root)) &&
-        dfg.node(root).op != ir::Opcode::kConst)
-      roots.push_back(root);
-
-  struct Grown {
-    util::Bitset s;
-    bool big = false;       // count() >= 2
-    bool inputs_ok = false;  // within max_inputs
-  };
-  std::vector<Grown> grown(roots.size());
-  util::parallel_for(roots.size(), [&](std::size_t i) {
-    Grown& g = grown[i];
-    g.s = miso_grow(dfg, valid, roots[i]);
-    g.big = g.s.count() >= 2;
-    if (g.big) g.inputs_ok = dfg.input_count(g.s) <= c.max_inputs;
-  });
-
-  long input_rejects = 0, duplicates = 0;
-  std::unordered_set<util::Bitset, util::BitsetHash> seen;
-  std::vector<const util::Bitset*> accepted;
-  for (const Grown& g : grown) {
-    if (!g.big) continue;
-    if (!seen.insert(g.s).second) {
-      ++duplicates;
-      continue;
-    }
-    if (!g.inputs_ok) {
-      ++input_rejects;
-      continue;
-    }
-    accepted.push_back(&g.s);
-  }
-
-  std::vector<Candidate> out(accepted.size());
-  util::parallel_for(accepted.size(), [&](std::size_t i) {
-    out[i] = make_candidate(dfg, *accepted[i], lib, block, exec_freq);
-  });
-  ISEX_COUNT_ADD("ise.miso.candidates", out.size());
-  ISEX_COUNT_ADD("ise.miso.input_rejects", input_rejects);
-  ISEX_COUNT_ADD("ise.miso.duplicates", duplicates);
-  return out;
-}
-
-std::vector<Candidate> maximal_misos_impl(const ir::Dfg& dfg,
-                                          const hw::CellLibrary& lib,
-                                          const Constraints& c, int block,
-                                          double exec_freq,
-                                          robust::Budget* budget,
-                                          EnumStats* stats) {
-  ISEX_SPAN_CAT("ise.maximal_misos", "ise");
-  // Any budget (even time-only) keeps the serial loop: the per-root charge
-  // order decides where a truncated MISO pass cuts, and the serial loop makes
-  // that cut a prefix of the root order.
-  if (budget == nullptr && util::max_threads() > 1 && dfg.num_nodes() > 1)
-    return maximal_misos_parallel(dfg, lib, c, block, exec_freq, stats);
-  return maximal_misos_serial(dfg, lib, c, block, exec_freq, budget, stats);
-}
-
 }  // namespace
 
 std::vector<Candidate> maximal_misos(const ir::Dfg& dfg,
@@ -218,18 +132,9 @@ struct GrowCtx {
   int block;
   double exec_freq;
   long budget;  // remaining grow-call allowance (max_candidates countdown)
-  std::unordered_set<util::Bitset, util::BitsetHash>* visited;
-  std::vector<Candidate>* out;
-  robust::Budget* rbudget = nullptr;     // serial path: direct charging
-  robust::BudgetShare* share = nullptr;  // parallel path: strided charging
-  std::vector<long>* emit_call = nullptr;  // parallel: call index per emission
-  // Parallel wave cancellation (see enumerate_connected_parallel): this
-  // seed's slot in the wave's shared progress array, published periodically;
-  // smaller-slot peers' progress shrinks this seed's effective call cap.
-  std::atomic<long>* wave_progress = nullptr;
-  std::size_t wave_slot = 0;
-  long wave_cap0 = 0;
-  bool truncated = false;                  // set once the robust budget stops
+  std::unordered_set<util::Bitset, util::BitsetHash> visited = {};
+  std::vector<Candidate> out = {};
+  bool truncated = false;  // set once opts.budget stops the search
   // Search statistics, published to the obs registry once per enumeration.
   long grow_calls = 0;
   long input_rejects = 0;
@@ -242,34 +147,10 @@ struct GrowCtx {
 /// ids >= seed) by every neighbour with id > seed; emits it if legal. The
 /// frame carries the running ancestor/descendant unions, so the convexity
 /// test is O(words) bitops instead of an O(V) full-graph rescan.
-/// How many grow calls a wave seed executes between progress publications.
-/// Smaller = tighter bound on overshoot past an exhausted cap, larger =
-/// less cache traffic on the shared wave counters.
-constexpr long kWavePollStride = 128;
-
 void grow(GrowCtx& ctx, std::size_t depth, int seed) {
   if (ctx.budget <= 0 || ctx.truncated) return;
-  if (ctx.wave_progress != nullptr && ctx.grow_calls % kWavePollStride == 0) {
-    // Publish this seed's progress and re-derive the effective cap from the
-    // published progress of smaller-slot wave peers. cap0 - sum(peers) is
-    // always an upper bound on this seed's true serial allowance (the
-    // counters only grow, and a stale relaxed load only loosens the bound),
-    // so cutting the local budget down to it cannot change the replayed
-    // output — it only stops work the replay would discard anyway.
-    ctx.wave_progress[ctx.wave_slot].store(ctx.grow_calls,
-                                           std::memory_order_relaxed);
-    long consumed = 0;
-    for (std::size_t j = 0; j < ctx.wave_slot; ++j)
-      consumed += ctx.wave_progress[j].load(std::memory_order_relaxed);
-    const long allowance = ctx.wave_cap0 - consumed - ctx.grow_calls;
-    if (allowance < ctx.budget) ctx.budget = allowance;
-    if (ctx.budget <= 0) return;
-  }
-  if (ctx.rbudget != nullptr && ctx.rbudget->charge()) {
-    ctx.truncated = true;
-    return;
-  }
-  if (ctx.share != nullptr && ctx.share->charge()) {
+  robust::Budget* rbudget = ctx.opts.budget;
+  if (rbudget != nullptr && rbudget->charge()) {
     ctx.truncated = true;
     return;
   }
@@ -287,8 +168,7 @@ void grow(GrowCtx& ctx, std::size_t depth, int seed) {
     } else if (!dfg.is_convex_unions(f.s, f.anc, f.desc)) {
       ++ctx.convexity_rejects;
     } else {
-      if (ctx.emit_call != nullptr) ctx.emit_call->push_back(ctx.grow_calls);
-      ctx.out->push_back(
+      ctx.out.push_back(
           make_candidate(dfg, f.s, ctx.lib, ctx.block, ctx.exec_freq));
     }
   }
@@ -317,20 +197,14 @@ void grow(GrowCtx& ctx, std::size_t depth, int seed) {
     if (ctx.truncated) return;
     child.s = f.s;
     child.s.set(static_cast<std::size_t>(u));
-    if (ctx.visited->insert(child.s).second) {
-      if (ctx.rbudget != nullptr &&
-          ctx.rbudget->charge_mem(subgraph_bytes(ctx.dfg))) {
-        ctx.truncated = true;
-        return;
-      }
-      if (ctx.share != nullptr &&
-          ctx.share->charge_mem(subgraph_bytes(ctx.dfg))) {
+    if (ctx.visited.insert(child.s).second) {
+      if (rbudget != nullptr && rbudget->charge_mem(subgraph_bytes(dfg))) {
         ctx.truncated = true;
         return;
       }
       child.anc = f.anc;
       child.desc = f.desc;
-      ctx.dfg.reach_union_add(u, child.anc, child.desc);
+      dfg.reach_union_add(u, child.anc, child.desc);
       grow(ctx, depth + 1, seed);
     }
   }
@@ -348,17 +222,18 @@ void init_frames(GrowCtx& ctx, int seed) {
   f0.desc = ctx.dfg.descendants(seed);
 }
 
-/// Exact legacy schedule: one thread, seeds in id order, one global visited
-/// set, direct budget charging.
-std::vector<Candidate> enumerate_connected_serial(const ir::Dfg& dfg,
-                                                  const hw::CellLibrary& lib,
-                                                  const EnumOptions& opts,
-                                                  int block, double exec_freq,
-                                                  EnumStats* stats) {
-  std::vector<Candidate> out;
-  std::unordered_set<util::Bitset, util::BitsetHash> visited;
-  GrowCtx ctx{dfg,      lib,  opts, block, exec_freq, opts.max_candidates,
-              &visited, &out, opts.budget};
+/// Body of enumerate_connected() with budget progress reported via `stats`:
+/// seeds in id order, one visited set, the grow-call cap and opts.budget
+/// charged in the order the search runs. Parallelism lives a layer up,
+/// across blocks (select::selection_items) and tasks
+/// (workloads::prefetch_tasks).
+std::vector<Candidate> enumerate_connected_impl(const ir::Dfg& dfg,
+                                                const hw::CellLibrary& lib,
+                                                const EnumOptions& opts,
+                                                int block, double exec_freq,
+                                                EnumStats* stats) {
+  ISEX_SPAN_CAT("ise.enumerate_connected", "ise");
+  GrowCtx ctx{dfg, lib, opts, block, exec_freq, opts.max_candidates};
   const util::Bitset& valid = dfg.valid_mask();
   if (stats != nullptr) stats->seeds_total = dfg.num_nodes();
   for (int seed = 0; seed < dfg.num_nodes(); ++seed) {
@@ -374,188 +249,14 @@ std::vector<Candidate> enumerate_connected_serial(const ir::Dfg& dfg,
     stats->truncated = true;
     if (stats->seeds_processed > 0) --stats->seeds_processed;  // cut mid-seed
   }
-  ISEX_COUNT_ADD("ise.enum.candidates", out.size());
+  ISEX_COUNT_ADD("ise.enum.candidates", ctx.out.size());
   ISEX_COUNT_ADD("ise.enum.grow_calls", ctx.grow_calls);
   ISEX_COUNT_ADD("ise.enum.input_rejects", ctx.input_rejects);
   ISEX_COUNT_ADD("ise.enum.output_rejects", ctx.output_rejects);
   ISEX_COUNT_ADD("ise.enum.convexity_rejects", ctx.convexity_rejects);
   if (ctx.budget <= 0) ISEX_COUNT("ise.enum.budget_exhausted");
   if (ctx.truncated) ISEX_COUNT("ise.enum.robust_budget_truncations");
-  return out;
-}
-
-/// Result of one seed's full subtree, run with a *local* grow-call cap.
-struct SeedRun {
-  std::vector<Candidate> cands;
-  std::vector<long> emit_call;  // 1-based grow-call index at each emission
-  long calls = 0;               // grow calls executed
-  bool capped = false;          // local cap hit (subtree not exhausted)
-  bool time_stopped = false;    // shared wall-clock budget stopped this seed
-  long input_rejects = 0, output_rejects = 0, convexity_rejects = 0;
-};
-
-SeedRun run_seed(const ir::Dfg& dfg, const hw::CellLibrary& lib,
-                 const EnumOptions& opts, int block, double exec_freq,
-                 int seed, long local_cap, robust::Budget* shared,
-                 std::atomic<long>* wave_progress, std::size_t wave_slot) {
-  SeedRun r;
-  std::unordered_set<util::Bitset, util::BitsetHash> visited;
-  robust::BudgetShare share(shared);
-  GrowCtx ctx{dfg,      lib,      opts,   block, exec_freq, local_cap,
-              &visited, &r.cands, nullptr};
-  ctx.share = shared != nullptr ? &share : nullptr;
-  ctx.emit_call = &r.emit_call;
-  ctx.wave_progress = wave_progress;
-  ctx.wave_slot = wave_slot;
-  ctx.wave_cap0 = local_cap;
-  init_frames(ctx, seed);
-  grow(ctx, 0, seed);
-  // Publish the final count so peers still running stop sooner.
-  wave_progress[wave_slot].store(ctx.grow_calls, std::memory_order_relaxed);
-  r.calls = ctx.grow_calls;
-  r.capped = ctx.budget <= 0;
-  r.time_stopped = ctx.truncated;
-  r.input_rejects = ctx.input_rejects;
-  r.output_rejects = ctx.output_rejects;
-  r.convexity_rejects = ctx.convexity_rejects;
-  return r;
-}
-
-/// Work-stealing fan-out over enumeration subtrees (one per seed), followed
-/// by a serial replay that reconstructs the exact output of the legacy
-/// serial loop.
-///
-/// Why this is byte-identical when no wall-clock budget interferes: each
-/// subgraph in seed k's subtree has minimum node id k (growth only adds ids
-/// > seed), so the per-seed visited sets partition exactly like the serial
-/// global set, and within one seed the DFS order is unchanged. The only
-/// cross-seed coupling is the global max_candidates grow-call cap. Serial
-/// semantics: a grow call executes iff the remaining allowance was positive
-/// at entry, so a candidate emitted at (1-based) call e of seed k survives
-/// iff e <= allowance left when seed k started. Each seed therefore runs
-/// with a local cap (the allowance at its wave's start, an upper bound on
-/// its serial allowance), records the call index of every emission, and the
-/// replay walks seeds in id order, trims each candidate list against the
-/// true remaining allowance, and decrements it by the calls serial would
-/// have executed (min(calls, remaining)). Waves of a few seeds per worker
-/// keep the overshoot past an exhausted cap bounded by one wave.
-///
-/// Wave sizing: output is wave-size independent (each seed's local cap is an
-/// upper bound on its serial allowance for ANY wave grouping, and the replay
-/// trims against the true allowance either way), so wave length is purely a
-/// performance knob. Waves start small — the seeds of the wave that straddles
-/// an exhausted cap may each run to their local cap, so a cap that binds
-/// early wastes little — and double up to a bound, so the fixed scheduling
-/// cost of a parallel region is amortised over ever more seeds on large
-/// blocks and the straddling wave stays proportionate to the work done
-/// before it.
-///
-/// Cap-binding runs additionally cancel cooperatively: each seed publishes
-/// its grow-call count into a shared per-wave progress array every
-/// kWavePollStride calls, and shrinks its own budget to
-/// cap0 - sum(progress of smaller-slot peers) - own calls. That expression
-/// never drops below the seed's true serial allowance (peer counters are
-/// monotone and stale reads only loosen it), so the replayed output is
-/// untouched; it just stops seeds from exploring work past the point the
-/// replay would discard, bounding the overshoot near one poll stride per
-/// seed instead of the whole wave running to the cap.
-std::vector<Candidate> enumerate_connected_parallel(
-    const ir::Dfg& dfg, const hw::CellLibrary& lib, const EnumOptions& opts,
-    int block, double exec_freq, EnumStats* stats) {
-  dfg.prepare();
-  const util::Bitset& valid = dfg.valid_mask();
-  const int n = dfg.num_nodes();
-  if (stats != nullptr) stats->seeds_total = n;
-
-  std::vector<int> eligible;
-  for (int seed = 0; seed < n; ++seed)
-    if (valid.test(static_cast<std::size_t>(seed)) &&
-        dfg.node(seed).op != ir::Opcode::kConst)
-      eligible.push_back(seed);
-
-  std::vector<Candidate> out;
-  long remaining = opts.max_candidates;
-  long grow_calls = 0, input_rejects = 0, output_rejects = 0,
-       convexity_rejects = 0;
-  bool cap_stopped = false, time_stopped = false;
-  long processed = 0;  // replayed seeds_processed, serial semantics
-  int id_cursor = 0;   // first graph id not yet accounted in the replay
-
-  const std::size_t wave_min =
-      static_cast<std::size_t>(util::max_threads()) * 2;
-  const std::size_t wave_max = wave_min * 16;
-  std::size_t wave_len = wave_min;
-  std::vector<SeedRun> runs;
-  for (std::size_t ei = 0; ei < eligible.size() && !cap_stopped && !time_stopped;
-       ei += wave_len, wave_len = std::min(wave_len * 2, wave_max)) {
-    const std::size_t count = std::min(wave_len, eligible.size() - ei);
-    if (runs.size() < count) runs.resize(count);
-    const long cap = remaining;  // every seed's serial allowance is <= this
-    std::vector<std::atomic<long>> progress(count);  // zero-initialised
-    util::parallel_for(count, [&](std::size_t i) {
-      runs[i] = run_seed(dfg, lib, opts, block, exec_freq,
-                         eligible[ei + i], cap, opts.budget,
-                         progress.data(), i);
-    });
-    for (std::size_t i = 0; i < count; ++i) {
-      SeedRun& r = runs[i];
-      const int id = eligible[ei + i];
-      processed += id - id_cursor + 1;  // skipped ids + this seed
-      id_cursor = id + 1;
-      for (std::size_t k = 0; k < r.cands.size(); ++k)
-        if (r.emit_call[k] <= remaining) out.push_back(std::move(r.cands[k]));
-      grow_calls += r.calls;
-      input_rejects += r.input_rejects;
-      output_rejects += r.output_rejects;
-      convexity_rejects += r.convexity_rejects;
-      if (r.time_stopped) {
-        time_stopped = true;
-        break;
-      }
-      remaining -= std::min(r.calls, remaining);
-      if (remaining <= 0) {
-        cap_stopped = true;
-        break;
-      }
-    }
-  }
-  if (!cap_stopped && !time_stopped) {
-    processed += n - id_cursor;  // trailing invalid/const seeds cost nothing
-    id_cursor = n;
-  }
-  if (stats != nullptr) {
-    stats->seeds_processed = processed;
-    if (time_stopped) {
-      stats->truncated = true;
-      if (stats->seeds_processed > 0) --stats->seeds_processed;  // cut mid-seed
-    }
-  }
-  ISEX_COUNT_ADD("ise.enum.candidates", out.size());
-  ISEX_COUNT_ADD("ise.enum.grow_calls", grow_calls);
-  ISEX_COUNT_ADD("ise.enum.input_rejects", input_rejects);
-  ISEX_COUNT_ADD("ise.enum.output_rejects", output_rejects);
-  ISEX_COUNT_ADD("ise.enum.convexity_rejects", convexity_rejects);
-  if (cap_stopped) ISEX_COUNT("ise.enum.budget_exhausted");
-  if (time_stopped) ISEX_COUNT("ise.enum.robust_budget_truncations");
-  return out;
-}
-
-/// Body of enumerate_connected() with budget progress reported via `stats`.
-std::vector<Candidate> enumerate_connected_impl(const ir::Dfg& dfg,
-                                                const hw::CellLibrary& lib,
-                                                const EnumOptions& opts,
-                                                int block, double exec_freq,
-                                                EnumStats* stats) {
-  ISEX_SPAN_CAT("ise.enumerate_connected", "ise");
-  // Blocks below this size enumerate in microseconds; a parallel wave costs
-  // more than it saves. They still run concurrently with other blocks via
-  // the block-level fan-out in the selection layer.
-  constexpr int kMinParallelNodes = 64;
-  if (parallel_allowed(opts.budget) && dfg.num_nodes() >= kMinParallelNodes &&
-      opts.max_candidates > 0)
-    return enumerate_connected_parallel(dfg, lib, opts, block, exec_freq,
-                                        stats);
-  return enumerate_connected_serial(dfg, lib, opts, block, exec_freq, stats);
+  return std::move(ctx.out);
 }
 
 }  // namespace

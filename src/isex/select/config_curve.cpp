@@ -87,9 +87,9 @@ std::vector<opt::KnapsackItem> selection_items(
   });
 
   // Candidate pool: disjoint per block, merged across blocks. Blocks are
-  // independent, so they fan out across the pool (each block enumeration
-  // nests its own seed-level parallelism); the merge appends per-block pools
-  // in hot order, so the result is byte-identical to the serial loop. With a
+  // independent, so they fan out across the pool (each block enumerates
+  // serially on one worker); the merge appends per-block pools in hot
+  // order, so the result is byte-identical to the serial loop. With a
   // budget that has deterministic limits the serial loop is kept: its
   // in-order charging decides where a truncated run stops enumerating.
   const int hot = std::min<int>(opts.max_hot_blocks, prog.num_blocks());

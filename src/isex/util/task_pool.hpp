@@ -1,7 +1,7 @@
 // isex::util — Chase–Lev-style work-stealing thread pool.
 //
-// The solver core fans work out at three levels (kernels, basic blocks,
-// enumeration subtrees), so the pool must support *nested* parallel regions
+// The solver core fans work out at nested levels (kernels, then the basic
+// blocks of each kernel), so the pool must support *nested* parallel regions
 // without deadlock and without oversubscribing: a thread that waits for its
 // batch keeps executing other queued chunks ("help-first"), so every level of
 // nesting shares the same fixed set of OS threads.

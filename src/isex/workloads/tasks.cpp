@@ -13,8 +13,6 @@
 
 namespace isex::workloads {
 
-namespace {
-
 select::CurveOptions default_curve_options(const ir::Program& prog) {
   select::CurveOptions opts;
   // Bound the enumeration effort on kernels with very large basic blocks
@@ -31,6 +29,8 @@ select::CurveOptions default_curve_options(const ir::Program& prog) {
   }
   return opts;
 }
+
+namespace {
 
 rt::Task build_task(const std::string& benchmark) {
   ISEX_SPAN_CAT("workloads.build_task." + benchmark, "workloads");

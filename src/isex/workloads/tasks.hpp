@@ -6,9 +6,15 @@
 #include <vector>
 
 #include "isex/rt/task.hpp"
+#include "isex/select/config_curve.hpp"
 #include "isex/workloads/workloads.hpp"
 
 namespace isex::workloads {
+
+/// Curve options the toolchain builds every benchmark task with: enumeration
+/// effort capped by the program's largest basic block (blocks over 600 nodes
+/// get the tighter 20000-call / 16-node caps).
+select::CurveOptions default_curve_options(const ir::Program& prog);
 
 /// Runs the full identification + selection pipeline on a benchmark and
 /// returns it as a periodic task (period unset; callers use

@@ -3,13 +3,13 @@
 // The contract under test: any thread count produces results byte-identical
 // to --threads 1 (the exact legacy serial schedule). Covered here:
 //   * ir::Dfg::is_convex (union-based) vs the reference O(V) scan;
-//   * candidate enumeration, including the max_candidates-capped regime
-//     where the parallel wave/replay reconstruction must reproduce the
-//     serial truncation point exactly;
+//   * candidate enumeration, including the max_candidates-capped regime:
+//     one block enumerates serially at any thread count, so the truncation
+//     point and the enumeration work counters must not move;
 //   * full configuration curves over every registered benchmark kernel;
 //   * RMS branch-and-bound and EDF DP selections;
-//   * wall-clock-truncated parallel runs: never better than exact, every
-//     emitted candidate also emitted by the unbudgeted run;
+//   * wall-clock-truncated runs: never better than exact, every emitted
+//     candidate also emitted by the unbudgeted run;
 //   * the --threads CLI flag (parse, reject, byte-identical certify
 //     including --paranoid).
 #include <gtest/gtest.h>
@@ -23,6 +23,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "isex/cli/driver.hpp"
@@ -30,6 +31,7 @@
 #include "isex/customize/select_rms.hpp"
 #include "isex/hw/cell_library.hpp"
 #include "isex/ise/enumerate.hpp"
+#include "isex/obs/metrics.hpp"
 #include "isex/select/config_curve.hpp"
 #include "isex/util/rng.hpp"
 #include "isex/util/task_pool.hpp"
@@ -131,24 +133,44 @@ TEST(ParallelDeterminism, EnumerationByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelDeterminism, CappedEnumerationReplaysSerialTruncation) {
-  // A cap that bites mid-seed forces the parallel wave/replay machinery to
-  // reconstruct exactly where the serial run stopped.
+TEST(ParallelDeterminism, CappedEnumerationIdenticalAcrossThreadCounts) {
+  // A cap that bites mid-seed: the thread count must change neither where
+  // the enumeration stops nor how much work it did to get there.
   const ir::Dfg d = random_dfg(13, 200);
+  const std::vector<std::string> work_counters = {
+      "ise.enum.grow_calls", "ise.enum.candidates", "ise.miso.candidates"};
+  // The serialized candidates and the run's work-counter deltas.
+  auto run = [&](const ise::EnumOptions& opts) {
+    std::vector<std::uint64_t> work;
+    for (const auto& name : work_counters)
+      work.push_back(obs::Registry::global().counter(name).get());
+    const std::string out =
+        serialize_candidates(ise::enumerate_candidates(d, lib(), opts));
+    for (std::size_t i = 0; i < work.size(); ++i)
+      work[i] =
+          obs::Registry::global().counter(work_counters[i]).get() - work[i];
+    return std::make_pair(out, work);
+  };
   for (int cap_candidates : {7, 50, 333}) {
     ise::EnumOptions opts;
     opts.max_candidates = cap_candidates;
-    std::string baseline;
+    std::pair<std::string, std::vector<std::uint64_t>> baseline;
     {
       ThreadCap cap(1);
-      baseline =
-          serialize_candidates(ise::enumerate_candidates(d, lib(), opts));
+      baseline = run(opts);
     }
+#if ISEX_OBS_ENABLED
+    EXPECT_EQ(baseline.second[0], static_cast<std::uint64_t>(cap_candidates))
+        << "the cap must bind";
+#endif
     for (int t : {2, 8}) {
       ThreadCap cap(t);
-      EXPECT_EQ(baseline, serialize_candidates(
-                              ise::enumerate_candidates(d, lib(), opts)))
+      const auto got = run(opts);
+      EXPECT_EQ(baseline.first, got.first)
           << cap_candidates << " cap, " << t << " threads";
+      EXPECT_EQ(baseline.second, got.second)
+          << "grow_calls/candidates/miso.candidates at " << cap_candidates
+          << " cap, " << t << " threads";
     }
   }
 }
@@ -222,8 +244,8 @@ TEST(ParallelDeterminism, EdfSelectionByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelDeterminism, TimeTruncatedParallelRunIsNeverBetterThanExact) {
-  // Wall-clock budgets may truncate anywhere, so parallel truncated runs are
-  // not byte-reproducible — but they must stay sound: a subset of what the
+  // Wall-clock budgets may truncate anywhere, so truncated runs are not
+  // byte-reproducible — but they must stay sound: a subset of what the
   // exact run emits, never a different or larger answer.
   const ir::Dfg d = random_dfg(29, 260);
   ise::EnumOptions exact_opts;
