@@ -1,14 +1,12 @@
 #include "isex/customize/select_edf.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <string>
 
 #include "isex/obs/trace.hpp"
 #include "isex/rt/schedulability.hpp"
-#include "isex/util/task_pool.hpp"
 
 namespace isex::customize {
 
@@ -33,8 +31,28 @@ SelectionResult select_edf(const rt::TaskSet& ts, double area_budget,
   ISEX_SPAN_CAT("customize.select_edf", "customize");
   const auto n = ts.size();
   const double grid = opts.area_grid;
-  const int cells =
-      static_cast<int>(std::floor(area_budget / grid + 1e-9));
+  // Quantize areas up so budgets are never exceeded. Kept in double: an
+  // area from a request may lie far beyond what an int cell index holds.
+  const auto weight = [grid](const select::Config& c) {
+    return std::ceil(c.area / grid - 1e-9);
+  };
+  // Past the sum of the per-task largest weights every assignment fits, so
+  // capping the table width there leaves the optimum and the backtracked
+  // assignment unchanged.
+  double reach = 0;
+  for (const rt::Task& t : ts.tasks) {
+    double w = 0;
+    for (const select::Config& c : t.configs) w = std::max(w, weight(c));
+    reach += w;
+  }
+  const double cells_d =
+      std::min(std::floor(area_budget / grid + 1e-9), reach);
+  const double bytes_d = static_cast<double>(n) * (cells_d + 1) *
+                         static_cast<double>(sizeof(double) + sizeof(int));
+  const bool representable =
+      cells_d >= 0 && cells_d < std::numeric_limits<int>::max() &&
+      bytes_d < static_cast<double>(std::numeric_limits<std::size_t>::max());
+  const int cells = representable ? static_cast<int>(cells_d) : 0;
   const auto width = static_cast<std::size_t>(cells) + 1;
   long config_scans = 0, area_skips = 0;
   robust::Budget* budget = opts.budget;
@@ -45,9 +63,11 @@ SelectionResult select_edf(const rt::TaskSet& ts, double area_budget,
   SelectionResult res;
   res.assignment.assign(n, 0);
 
-  if (budget != nullptr && budget->charge_mem(table_bytes)) {
-    // The DP table itself does not fit the memory budget: fall back to the
-    // baseline assignment (configuration 0 per task) without allocating.
+  if (!representable ||
+      (budget != nullptr && budget->charge_mem(table_bytes))) {
+    // The DP table cannot be sized or does not fit the memory budget: fall
+    // back to the baseline assignment (configuration 0 per task) without
+    // allocating.
     truncated = true;
   } else {
     // u[i*width + a]: min utilization of tasks 0..i with quantized budget a.
@@ -55,65 +75,36 @@ SelectionResult select_edf(const rt::TaskSet& ts, double area_budget,
     std::vector<double> u(n * width, std::numeric_limits<double>::infinity());
     std::vector<int> choice(n * width, 0);
 
-    // One DP cell: pure function of row i-1, so the cells of a row may be
-    // computed in any order (or concurrently) with identical results.
-    auto fill_cell = [&](std::size_t i, int a, long* scans, long* skips) {
+    for (std::size_t i = 0; i < n && !truncated; ++i) {
       const rt::Task& t = ts.tasks[i];
-      double best = std::numeric_limits<double>::infinity();
-      int best_j = 0;
-      for (std::size_t j = 0; j < t.configs.size(); ++j) {
-        ++*scans;
-        // Quantize the configuration's area up so budgets are never
-        // exceeded.
-        const int w = static_cast<int>(
-            std::ceil(t.configs[j].area / grid - 1e-9));
-        if (w > a) {
-          ++*skips;
-          continue;
+      for (int a = 0; a <= cells; ++a) {
+        if (budget != nullptr && budget->charge()) {
+          truncated = true;
+          break;
         }
-        const double below =
-            i == 0 ? 0.0
-                   : u[(i - 1) * width + static_cast<std::size_t>(a - w)];
-        const double cand = t.configs[j].cycles / t.period + below;
-        if (cand < best) {
-          best = cand;
-          best_j = static_cast<int>(j);
-        }
-      }
-      u[i * width + static_cast<std::size_t>(a)] = best;
-      choice[i * width + static_cast<std::size_t>(a)] = best_j;
-    };
-
-    // Rows are sequential (row i reads row i-1); the cells of one row fan
-    // out across the pool when the row is wide enough to pay for it. Only
-    // budget-free runs parallelize: the per-cell charge order defines where
-    // a truncated run stops, which must stay the serial schedule.
-    const bool parallel_rows =
-        budget == nullptr && util::max_threads() > 1 && width >= 2048;
-    if (parallel_rows) {
-      std::atomic<long> scans_total{0}, skips_total{0};
-      for (std::size_t i = 0; i < n; ++i) {
-        util::parallel_for(width, [&](std::size_t cell) {
-          long scans = 0, skips = 0;
-          fill_cell(i, static_cast<int>(cell), &scans, &skips);
-          scans_total.fetch_add(scans, std::memory_order_relaxed);
-          skips_total.fetch_add(skips, std::memory_order_relaxed);
-        });
-      }
-      rows_done = n;
-      config_scans = scans_total.load(std::memory_order_relaxed);
-      area_skips = skips_total.load(std::memory_order_relaxed);
-    } else {
-      for (std::size_t i = 0; i < n && !truncated; ++i) {
-        for (int a = 0; a <= cells; ++a) {
-          if (budget != nullptr && budget->charge()) {
-            truncated = true;
-            break;
+        double best = std::numeric_limits<double>::infinity();
+        int best_j = 0;
+        for (std::size_t j = 0; j < t.configs.size(); ++j) {
+          ++config_scans;
+          const double w = weight(t.configs[j]);
+          if (w > a) {
+            ++area_skips;
+            continue;
           }
-          fill_cell(i, a, &config_scans, &area_skips);
+          const double below =
+              i == 0 ? 0.0
+                     : u[(i - 1) * width +
+                         static_cast<std::size_t>(a - static_cast<int>(w))];
+          const double cand = t.configs[j].cycles / t.period + below;
+          if (cand < best) {
+            best = cand;
+            best_j = static_cast<int>(j);
+          }
         }
-        if (!truncated) rows_done = i + 1;
+        u[i * width + static_cast<std::size_t>(a)] = best;
+        choice[i * width + static_cast<std::size_t>(a)] = best_j;
       }
+      if (!truncated) rows_done = i + 1;
     }
 
     // Backtrack through the completed rows; any remaining task keeps its
@@ -123,9 +114,8 @@ SelectionResult select_edf(const rt::TaskSet& ts, double area_budget,
     for (std::size_t i = rows_done; i-- > 0;) {
       const int j = choice[i * width + static_cast<std::size_t>(a)];
       res.assignment[i] = j;
-      a -= static_cast<int>(std::ceil(
-          ts.tasks[i].configs[static_cast<std::size_t>(j)].area / grid -
-          1e-9));
+      a -= static_cast<int>(
+          weight(ts.tasks[i].configs[static_cast<std::size_t>(j)]));
     }
     if (budget != nullptr) budget->release_mem(table_bytes);
   }

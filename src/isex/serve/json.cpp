@@ -442,8 +442,9 @@ std::string json_quote(std::string_view s) {
 
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "null";
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::abs(v) < 9.007199254740992e15)
+  // Range check first: converting an out-of-range double is undefined.
+  if (std::abs(v) < 9.007199254740992e15 &&
+      v == static_cast<double>(static_cast<long long>(v)))
     return std::to_string(static_cast<long long>(v));
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.17g", v);

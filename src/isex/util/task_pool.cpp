@@ -1,9 +1,9 @@
 #include "isex/util/task_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -16,246 +16,102 @@ namespace {
 
 constexpr int kMaxThreads = 256;
 
+/// One parallel_for call. Lives on the caller's stack; every field is read
+/// and written under Pool::mu_.
 struct Batch {
-  const std::function<void(std::size_t)>* fn = nullptr;
-  std::atomic<long> remaining{0};  // unfinished items; release on last finish
-  std::mutex err_mu;
+  const std::function<void(std::size_t)>* fn;
+  std::size_t n;
+  std::size_t grain;         // indices per claim
+  std::size_t next = 0;      // first unclaimed index
+  std::size_t done = 0;      // indices finished
   std::exception_ptr error;  // first exception wins
 };
 
-/// One contiguous index range of one batch — the unit the deques schedule.
-struct Chunk {
-  Batch* batch = nullptr;
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-/// Chase–Lev deque over Chunk*, fixed capacity. Owner thread push()es and
-/// pop()s at the bottom; thieves steal() from the top. All index operations
-/// are seq_cst atomics (no standalone fences) so the implementation stays
-/// ThreadSanitizer-clean; the chunks are coarse enough that the ordering
-/// cost is irrelevant next to the work they carry.
-class WorkDeque {
+class Pool {
  public:
-  static constexpr std::size_t kCapacity = 1 << 13;
-
-  WorkDeque() : buf_(kCapacity) {}
-
-  bool push(Chunk* c) {  // owner only; false when full
-    const long b = bottom_.load(std::memory_order_relaxed);
-    const long t = top_.load(std::memory_order_acquire);
-    if (b - t >= static_cast<long>(kCapacity)) return false;
-    buf_[static_cast<std::size_t>(b) & (kCapacity - 1)].store(
-        c, std::memory_order_relaxed);
-    bottom_.store(b + 1, std::memory_order_seq_cst);
-    return true;
+  /// Total parallelism `threads` (>= 2): threads-1 workers plus the caller,
+  /// which runs chunks while it waits.
+  explicit Pool(int threads) : threads_(threads) {
+    for (int i = 1; i < threads; ++i) workers_.emplace_back([this] { work(); });
   }
 
-  Chunk* pop() {  // owner only; LIFO
-    const long b = bottom_.load(std::memory_order_relaxed) - 1;
-    bottom_.store(b, std::memory_order_seq_cst);
-    long t = top_.load(std::memory_order_seq_cst);
-    if (t > b) {  // empty
-      bottom_.store(b + 1, std::memory_order_relaxed);
-      return nullptr;
+  ~Pool() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      stop_ = true;
     }
-    Chunk* c = buf_[static_cast<std::size_t>(b) & (kCapacity - 1)].load(
-        std::memory_order_relaxed);
-    if (t == b) {  // last item: race the thieves for it
-      if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                        std::memory_order_relaxed))
-        c = nullptr;  // a thief won
-      bottom_.store(b + 1, std::memory_order_relaxed);
-    }
-    return c;
+    cv_.notify_all();
+    for (auto& t : workers_) t.join();
   }
 
-  Chunk* steal() {  // any thread; FIFO
-    long t = top_.load(std::memory_order_seq_cst);
-    const long b = bottom_.load(std::memory_order_seq_cst);
-    if (t >= b) return nullptr;
-    Chunk* c = buf_[static_cast<std::size_t>(t) & (kCapacity - 1)].load(
-        std::memory_order_relaxed);
-    if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                      std::memory_order_relaxed))
-      return nullptr;  // lost the race; caller retries elsewhere
-    return c;
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
+
+  int threads() const { return threads_; }
+
+  void run(std::size_t n, const std::function<void(std::size_t)>& fn) {
+    // Oversplit a little beyond the thread count so uneven items rebalance.
+    const std::size_t chunks =
+        std::min(n, static_cast<std::size_t>(threads_) * 4);
+    Batch b{&fn, n, (n + chunks - 1) / chunks, 0, 0, nullptr};
+    std::unique_lock<std::mutex> lk(mu_);
+    open_.push_back(&b);
+    cv_.notify_all();
+    while (b.done < b.n) {
+      // Own chunks first, then the newest open batch — possibly an outer
+      // batch this one is nested in, which is what keeps nesting deadlock-
+      // free. With nothing left to claim, sleep until some batch finishes
+      // or a new one opens.
+      Batch* t = b.next < b.n ? &b : open_.empty() ? nullptr : open_.back();
+      if (t != nullptr)
+        run_chunk(lk, t);
+      else
+        cv_.wait(lk, [&] { return b.done == b.n || !open_.empty(); });
+    }
+    lk.unlock();
+    if (b.error) std::rethrow_exception(b.error);
   }
 
  private:
-  std::atomic<long> top_{0};
-  std::atomic<long> bottom_{0};
-  std::vector<std::atomic<Chunk*>> buf_;
-};
-
-}  // namespace
-
-struct TaskPool::Impl {
-  std::vector<std::unique_ptr<WorkDeque>> deques;  // one per worker
-  std::vector<std::thread> workers;
-
-  // External (non-worker) submitters inject here; workers drain it.
-  std::mutex inject_mu;
-  std::deque<Chunk*> inject;
-
-  // Sleep/wake: work_epoch bumps on every submission; an idle worker that
-  // found nothing re-checks the epoch under the mutex before sleeping, so a
-  // concurrent submission can never be missed.
-  std::mutex wake_mu;
-  std::condition_variable wake_cv;
-  std::atomic<unsigned long> work_epoch{0};
-  std::atomic<bool> stop{false};
-
-  Chunk* find_work(int self) {
-    if (self >= 0)
-      if (Chunk* c = deques[static_cast<std::size_t>(self)]->pop()) return c;
-    {
-      std::lock_guard<std::mutex> lk(inject_mu);
-      if (!inject.empty()) {
-        Chunk* c = inject.front();
-        inject.pop_front();
-        return c;
-      }
-    }
-    const std::size_t n = deques.size();
-    for (std::size_t k = 1; k <= n; ++k) {
-      const std::size_t v =
-          (static_cast<std::size_t>(self < 0 ? 0 : self) + k) % n;
-      if (Chunk* c = deques[v]->steal()) return c;
-    }
-    return nullptr;
-  }
-
-  void run_chunk(Chunk* c) {
-    Batch* b = c->batch;
-    for (std::size_t i = c->begin; i < c->end; ++i) {
+  /// Claims the next index range of `b` under the lock and runs it
+  /// unlocked. `b` cannot complete, so its caller cannot return, before
+  /// this chunk is counted done: the pointer stays valid throughout.
+  void run_chunk(std::unique_lock<std::mutex>& lk, Batch* b) {
+    const std::size_t begin = b->next;
+    const std::size_t end = std::min(b->n, begin + b->grain);
+    b->next = end;
+    if (end == b->n) open_.erase(std::find(open_.begin(), open_.end(), b));
+    lk.unlock();
+    std::exception_ptr error;
+    for (std::size_t i = begin; i < end; ++i) {
       try {
         (*b->fn)(i);
       } catch (...) {
-        std::lock_guard<std::mutex> lk(b->err_mu);
-        if (!b->error) b->error = std::current_exception();
+        if (!error) error = std::current_exception();
       }
     }
-    const long n = static_cast<long>(c->end - c->begin);
-    // Last chunk of a batch: wake any thread sleeping in the wait loop of
-    // this batch's parallel_for (possibly nested several levels up).
-    if (b->remaining.fetch_sub(n, std::memory_order_release) == n)
-      announce_work();
+    lk.lock();
+    if (error && !b->error) b->error = error;
+    b->done += end - begin;
+    if (b->done == b->n) cv_.notify_all();
   }
 
-  void worker_main(int self) {
-    while (!stop.load(std::memory_order_relaxed)) {
-      if (Chunk* c = find_work(self)) {
-        run_chunk(c);
-        continue;
-      }
-      std::unique_lock<std::mutex> lk(wake_mu);
-      const unsigned long seen = work_epoch.load(std::memory_order_relaxed);
-      wake_cv.wait(lk, [&] {
-        return stop.load(std::memory_order_relaxed) ||
-               work_epoch.load(std::memory_order_relaxed) != seen;
-      });
+  void work() {
+    std::unique_lock<std::mutex> lk(mu_);
+    for (;;) {
+      cv_.wait(lk, [&] { return stop_ || !open_.empty(); });
+      if (stop_) return;
+      run_chunk(lk, open_.back());
     }
   }
 
-  void announce_work() {
-    {
-      std::lock_guard<std::mutex> lk(wake_mu);
-      work_epoch.fetch_add(1, std::memory_order_relaxed);
-    }
-    wake_cv.notify_all();
-  }
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<Batch*> open_;  // batches with unclaimed indices, oldest first
+  bool stop_ = false;
+  std::vector<std::thread> workers_;
+  int threads_;
 };
-
-namespace {
-// Which pool (if any) owns the current thread, and its deque index.
-thread_local TaskPool::Impl* tls_pool = nullptr;
-thread_local int tls_worker = -1;
-}  // namespace
-
-TaskPool::TaskPool(int threads)
-    : impl_(new Impl), threads_(threads < 1 ? 1 : threads) {
-  const int workers = threads_ - 1;
-  impl_->deques.reserve(static_cast<std::size_t>(workers > 0 ? workers : 1));
-  for (int i = 0; i < (workers > 0 ? workers : 1); ++i)
-    impl_->deques.push_back(std::make_unique<WorkDeque>());
-  for (int i = 0; i < workers; ++i)
-    impl_->workers.emplace_back([this, i] {
-      tls_pool = impl_;
-      tls_worker = i;
-      impl_->worker_main(i);
-    });
-}
-
-TaskPool::~TaskPool() {
-  impl_->stop.store(true, std::memory_order_relaxed);
-  impl_->announce_work();
-  for (auto& t : impl_->workers) t.join();
-  delete impl_;
-}
-
-void TaskPool::parallel_for(std::size_t n,
-                            const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (threads_ <= 1 || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-
-  Batch batch;
-  batch.fn = &fn;
-  batch.remaining.store(static_cast<long>(n), std::memory_order_relaxed);
-
-  // Oversplit a little beyond the thread count so stolen chunks rebalance
-  // uneven per-index work without shrinking chunks into scheduling noise.
-  const std::size_t target = static_cast<std::size_t>(threads_) * 4;
-  const std::size_t num_chunks = n < target ? n : target;
-  const std::size_t base = n / num_chunks, extra = n % num_chunks;
-  std::vector<Chunk> chunks(num_chunks);
-  std::size_t at = 0;
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    chunks[c].batch = &batch;
-    chunks[c].begin = at;
-    at += base + (c < extra ? 1 : 0);
-    chunks[c].end = at;
-  }
-
-  const bool own_worker = tls_pool == impl_;
-  const int self = own_worker ? tls_worker : -1;
-  if (own_worker) {
-    // Push in reverse so the owner's LIFO pop proceeds in index order.
-    for (std::size_t c = num_chunks; c-- > 0;)
-      if (!impl_->deques[static_cast<std::size_t>(self)]->push(&chunks[c]))
-        impl_->run_chunk(&chunks[c]);  // deque full: run inline
-  } else {
-    std::lock_guard<std::mutex> lk(impl_->inject_mu);
-    for (auto& c : chunks) impl_->inject.push_back(&c);
-  }
-  impl_->announce_work();
-
-  // Help until the batch drains; executing chunks of *other* (outer) batches
-  // while waiting is what makes nesting deadlock-free. When no work is
-  // available anywhere, sleep on the pool's condvar instead of yield-spinning
-  // (an oversubscribed machine would otherwise burn its one core on the
-  // waiters): run_chunk bumps the epoch when a batch drains, and the epoch is
-  // re-read under the mutex, so a completion can never be missed.
-  while (batch.remaining.load(std::memory_order_acquire) > 0) {
-    if (Chunk* c = impl_->find_work(self)) {
-      impl_->run_chunk(c);
-      continue;
-    }
-    std::unique_lock<std::mutex> lk(impl_->wake_mu);
-    const unsigned long seen =
-        impl_->work_epoch.load(std::memory_order_relaxed);
-    impl_->wake_cv.wait(lk, [&] {
-      return batch.remaining.load(std::memory_order_acquire) == 0 ||
-             impl_->work_epoch.load(std::memory_order_relaxed) != seen;
-    });
-  }
-  if (batch.error) std::rethrow_exception(batch.error);
-}
-
-namespace {
 
 std::atomic<int> g_max_threads{0};  // 0 = not yet resolved
 
@@ -268,6 +124,14 @@ int resolve_default_threads() {
   }
   return hardware_threads();
 }
+
+// Process-global pool, (re)built lazily to match max_threads(). The rebuild
+// only happens when no parallel_for is in flight — concurrent callers keep
+// the pool they started with (a thread-count change mid-flight only delays
+// taking effect until the regions drain).
+std::mutex g_pool_mu;
+std::unique_ptr<Pool> g_pool;
+int g_pool_users = 0;  // guarded by g_pool_mu
 
 }  // namespace
 
@@ -292,40 +156,27 @@ void set_max_threads(int n) {
                         std::memory_order_relaxed);
 }
 
-namespace {
-
-// Process-global pool, (re)built lazily to match max_threads(). The rebuild
-// only happens when no parallel_for is in flight — concurrent callers keep
-// the pool they started with (a thread-count change mid-flight only delays
-// taking effect until the regions drain).
-std::mutex g_pool_mu;
-std::unique_ptr<TaskPool> g_pool;
-std::atomic<int> g_pool_users{0};
-
-}  // namespace
-
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
   const int want = max_threads();
   if (want <= 1 || n <= 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  TaskPool* pool;
+  Pool* pool;
   {
     std::lock_guard<std::mutex> lk(g_pool_mu);
-    if (!g_pool || (g_pool->threads() != want &&
-                    g_pool_users.load(std::memory_order_relaxed) == 0))
-      g_pool = std::make_unique<TaskPool>(want);
+    if (!g_pool || (g_pool->threads() != want && g_pool_users == 0))
+      g_pool = std::make_unique<Pool>(want);
     pool = g_pool.get();
-    g_pool_users.fetch_add(1, std::memory_order_relaxed);
+    ++g_pool_users;
   }
-  try {
-    pool->parallel_for(n, fn);
-  } catch (...) {
-    g_pool_users.fetch_sub(1, std::memory_order_relaxed);
-    throw;
-  }
-  g_pool_users.fetch_sub(1, std::memory_order_relaxed);
+  struct Release {
+    ~Release() {
+      std::lock_guard<std::mutex> lk(g_pool_mu);
+      --g_pool_users;
+    }
+  } release;
+  pool->run(n, fn);
 }
 
 }  // namespace isex::util

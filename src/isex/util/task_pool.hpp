@@ -1,15 +1,13 @@
-// isex::util — Chase–Lev-style work-stealing thread pool.
+// isex::util — process-global thread pool behind util::parallel_for.
 //
-// The solver core fans work out at nested levels (kernels, then the basic
-// blocks of each kernel), so the pool must support *nested* parallel regions
-// without deadlock and without oversubscribing: a thread that waits for its
-// batch keeps executing other queued chunks ("help-first"), so every level of
-// nesting shares the same fixed set of OS threads.
-//
-// Each worker owns a lock-free Chase–Lev deque: the owner pushes/pops at the
-// bottom (LIFO, cache-warm), idle workers steal from the top (FIFO, coarse
-// chunks first). Threads not owned by the pool submit through a small
-// mutex-guarded injection queue and then help like any worker.
+// The library fans out in three places, each over coarse items: cold task
+// builds across kernels, curve building across the hot blocks of one task,
+// and the RMS branch-and-bound subtrees. The pool is one mutex, one
+// condition variable and a list of open batches. Every index range is
+// claimed under the lock and run outside it; a caller first runs chunks of
+// its own batch and then helps the newest open batch while it waits, so
+// nested regions (task builds that fan out over blocks) share one fixed set
+// of threads without deadlock.
 //
 // Determinism contract: parallel_for(n, fn) invokes fn(i) exactly once for
 // every i < n and returns only after all invocations finished (and their
@@ -42,27 +40,5 @@ void set_max_threads(int n);
 /// including pool workers. The first exception thrown by any fn(i) is
 /// rethrown here after the batch drains.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-class TaskPool {
- public:
-  /// Total parallelism `threads` (>= 1): the pool spawns threads-1 workers;
-  /// the submitting thread is the remaining lane (it helps while waiting).
-  explicit TaskPool(int threads);
-  ~TaskPool();
-
-  TaskPool(const TaskPool&) = delete;
-  TaskPool& operator=(const TaskPool&) = delete;
-
-  int threads() const { return threads_; }
-
-  /// See util::parallel_for; this is the instance form.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  struct Impl;  // public so the .cpp's thread-local worker state can name it
-
- private:
-  Impl* impl_;
-  int threads_;
-};
 
 }  // namespace isex::util

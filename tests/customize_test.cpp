@@ -104,6 +104,20 @@ TEST(EdfDp, MonotoneInBudget) {
   }
 }
 
+TEST(EdfDp, HugeBudgetSizesTableByReachableArea) {
+  // Past the task set's Max_Area every assignment fits, so the table stops
+  // there: a 1e12 budget answers like Max_Area instead of allocating
+  // terabytes. The generator's areas are integers, so grid 1.0 is exact.
+  util::Rng rng(4321);
+  const auto ts = isex::testing::random_taskset(rng, 4, 5);
+  const auto huge = select_edf(ts, 1e12, EdfOptions{1.0});
+  const auto max = select_edf(ts, ts.max_area(), EdfOptions{1.0});
+  EXPECT_EQ(huge.status, robust::Status::kExact);
+  EXPECT_EQ(huge.assignment, max.assignment);
+  EXPECT_EQ(huge.utilization, max.utilization);
+  EXPECT_EQ(huge.area_used, max.area_used);
+}
+
 class RmsBnbProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(RmsBnbProperty, MatchesExhaustiveOptimum) {

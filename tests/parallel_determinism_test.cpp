@@ -228,7 +228,7 @@ TEST(ParallelDeterminism, EdfSelectionByteIdenticalAcrossThreadCounts) {
   ts.sort_by_period();
   const double budget = 0.5 * ts.max_area();
   customize::EdfOptions opts;
-  // A grid fine enough that the DP rows cross the parallel width threshold.
+  // A fine grid (4097-cell rows) pins a wide DP table at every thread count.
   opts.area_grid = budget / 4096.0;
   std::string baseline;
   {

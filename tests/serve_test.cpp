@@ -275,6 +275,27 @@ TEST(ServeServer, IsolationTurnsInternalFaultsIntoResponses) {
   EXPECT_NE(r.find("\"id\":\"z\""), std::string::npos);
 }
 
+TEST(ServeServer, ExtremeAreasAnswerWithoutOversizingTheDp) {
+  Server server{ServerOptions{}};
+  // Config areas near the double range: the DP cannot size a table for
+  // them, so the ladder answers from a lower rung instead of overflowing.
+  const std::string huge = server.handle_line(
+      "{\"id\":\"h\",\"cmd\":\"select\",\"policy\":\"edf\","
+      "\"budget_fraction\":0.5,\"tasks\":["
+      "{\"name\":\"t0\",\"period\":1000,\"configs\":[[0,900],[1e300,500]]},"
+      "{\"name\":\"t1\",\"period\":1000,\"configs\":[[0,500],[1e300,100]]}]}");
+  EXPECT_NE(huge.find("\"ok\":true"), std::string::npos) << huge;
+  // A budget far past the tasks' total area sizes the table by that area
+  // and solves exactly, as a budget just above it does.
+  const std::string wide = server.handle_line(
+      "{\"id\":\"w\",\"cmd\":\"select\",\"policy\":\"edf\","
+      "\"area_budget\":1e9,\"tasks\":["
+      "{\"name\":\"t0\",\"period\":1000,\"configs\":[[0,900],[2,500]]},"
+      "{\"name\":\"t1\",\"period\":1000,\"configs\":[[0,500],[3,100]]}]}");
+  EXPECT_NE(wide.find("\"ok\":true"), std::string::npos) << wide;
+  EXPECT_NE(wide.find("\"status\":\"Exact\""), std::string::npos) << wide;
+}
+
 // --- server: pipe-driven integration ----------------------------------------
 
 /// Runs a request stream through Server::run over real pipes and returns the

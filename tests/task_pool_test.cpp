@@ -1,4 +1,4 @@
-// util::TaskPool / util::parallel_for — the contract every byte-identical
+// util::parallel_for — the contract every byte-identical
 // parallel solver is built on: fn(i) exactly once per index, full visibility
 // on return, deadlock-free nesting, exception propagation.
 #include "isex/util/task_pool.hpp"
@@ -8,6 +8,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace isex::util {
@@ -100,20 +101,53 @@ TEST(TaskPoolTest, ExceptionPropagates) {
     sum.fetch_add(static_cast<long>(i), std::memory_order_relaxed);
   });
   EXPECT_EQ(sum.load(), 4950);
-}
 
-TEST(TaskPoolTest, InstancePoolRunsAllIndices) {
-  TaskPool pool(4);
-  EXPECT_EQ(pool.threads(), 4);
-  std::vector<std::atomic<int>> hits(2048);
-  pool.parallel_for(hits.size(), [&](std::size_t i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
+  // An exception thrown inside a nested region reaches the outer caller,
+  // and the pool still runs the next batch.
+  EXPECT_THROW(parallel_for(8,
+                            [&](std::size_t o) {
+                              parallel_for(32, [&](std::size_t i) {
+                                if (o == 5 && i == 17)
+                                  throw std::runtime_error("inner boom");
+                              });
+                            }),
+               std::runtime_error);
+  sum = 0;
+  parallel_for(100, [&](std::size_t i) {
+    sum.fetch_add(static_cast<long>(i), std::memory_order_relaxed);
   });
-  for (auto& h : hits) ASSERT_EQ(h.load(), 1);
+  EXPECT_EQ(sum.load(), 4950);
 }
 
-/// Stress for the work-stealing deque (and for tsan): many small batches
-/// with uneven per-index work, from repeated parallel regions.
+/// Two threads outside the pool (a serve thread next to the main thread)
+/// each open nested regions at the same time; batches from both callers
+/// interleave in the pool and every index still runs exactly once.
+TEST(TaskPoolTest, ConcurrentExternalCallers) {
+  ThreadCap cap(4);
+  constexpr std::size_t kOuter = 6, kInner = 40;
+  constexpr int kRounds = 20;
+  std::vector<std::atomic<int>> hits[2] = {
+      std::vector<std::atomic<int>>(kRounds * kOuter * kInner),
+      std::vector<std::atomic<int>>(kRounds * kOuter * kInner)};
+  auto caller = [&](int c) {
+    for (int r = 0; r < kRounds; ++r)
+      parallel_for(kOuter, [&](std::size_t o) {
+        parallel_for(kInner, [&](std::size_t i) {
+          hits[c][(static_cast<std::size_t>(r) * kOuter + o) * kInner + i]
+              .fetch_add(1, std::memory_order_relaxed);
+        });
+      });
+  };
+  std::thread a(caller, 0), b(caller, 1);
+  a.join();
+  b.join();
+  for (const auto& h : hits)
+    for (std::size_t k = 0; k < h.size(); ++k)
+      ASSERT_EQ(h[k].load(), 1) << "index " << k;
+}
+
+/// Stress for the batch claims (and for tsan): many small batches with
+/// uneven per-index work, from repeated parallel regions.
 TEST(TaskPoolTest, RepeatedUnevenBatchesStress) {
   ThreadCap cap(8);
   for (int round = 0; round < 50; ++round) {

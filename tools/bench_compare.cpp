@@ -27,7 +27,8 @@
 // noisy; the gate exists to catch step-function regressions (an algorithm
 // losing its pruning, a lock on the hot path), not 5% drift. Deterministic
 // work counters get a tight 10% band — they should not move at all unless
-// the algorithm changed.
+// the algorithm changed. Per-kernel curve quality (sw_cycles, best_cycles,
+// configs in self_profile) must match exactly.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -219,6 +220,13 @@ void compare_self_profile(const Json& base, const Json& fresh) {
     if (fk == nullptr) {
       record("self_profile." + name, 1, 0, 0, false, "kernel missing in fresh");
       continue;
+    }
+    // Curve quality is deterministic: the software and best cycle counts
+    // and the number of curve points must not move at all.
+    for (const char* field : {"sw_cycles", "best_cycles", "configs"}) {
+      const double b = num(bk.find(field)), f = num(fk->find(field));
+      record("self_profile." + name + "." + field, b, f, 0, b == f,
+             b == f ? "exact match" : "curve quality drifted");
     }
     // Wall time: 1.5x with a 50ms floor (the small kernels finish in
     // microseconds and would flap on scheduler noise).
