@@ -63,8 +63,8 @@ SelectionResult select_edf(const rt::TaskSet& ts, double area_budget,
   SelectionResult res;
   res.assignment.assign(n, 0);
 
-  if (!representable ||
-      (budget != nullptr && budget->charge_mem(table_bytes))) {
+  robust::MemCharge table_mem{budget};
+  if (!representable || table_mem.charge(table_bytes)) {
     // The DP table cannot be sized or does not fit the memory budget: fall
     // back to the baseline assignment (configuration 0 per task) without
     // allocating.
@@ -117,7 +117,6 @@ SelectionResult select_edf(const rt::TaskSet& ts, double area_budget,
       a -= static_cast<int>(
           weight(ts.tasks[i].configs[static_cast<std::size_t>(j)]));
     }
-    if (budget != nullptr) budget->release_mem(table_bytes);
   }
 
   res.utilization = ts.utilization(res.assignment);

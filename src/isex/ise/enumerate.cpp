@@ -1,9 +1,11 @@
 #include "isex/ise/enumerate.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+#include <iterator>
+#include <span>
 
 #include "isex/obs/trace.hpp"
+#include "isex/util/bitset_set.hpp"
 
 namespace isex::ise {
 
@@ -63,9 +65,9 @@ std::vector<Candidate> maximal_misos_impl(const ir::Dfg& dfg,
                                           robust::Budget* budget,
                                           EnumStats* stats) {
   ISEX_SPAN_CAT("ise.maximal_misos", "ise");
-  long input_rejects = 0, duplicates = 0;
+  long input_rejects = 0;
   std::vector<Candidate> out;
-  std::unordered_set<util::Bitset, util::BitsetHash> seen;
+  robust::MemCharge mem{budget};  // the retained patterns
   const std::size_t entry_bytes = subgraph_bytes(dfg);
   const util::Bitset& valid = dfg.valid_mask();
   if (stats != nullptr) stats->seeds_total = dfg.num_nodes();
@@ -79,19 +81,17 @@ std::vector<Candidate> maximal_misos_impl(const ir::Dfg& dfg,
     if (dfg.node(root).op == ir::Opcode::kConst) continue;
     util::Bitset s = miso_grow(dfg, valid, root);
     if (s.count() < 2) continue;  // single nodes are not worth an instruction
-    if (budget != nullptr && budget->charge_mem(entry_bytes)) {
+    if (mem.charge(entry_bytes)) {
       if (stats != nullptr) {
         stats->truncated = true;
         --stats->seeds_processed;  // this root's pattern was dropped
       }
       break;
     }
-    if (!seen.insert(s).second) {
-      ++duplicates;
-      continue;
-    }
-    // A MaxMISO is convex by construction (it is closed under "all consumers
-    // inside"), has one output, and only the input constraint can fail.
+    // Distinct roots give distinct patterns (the root is a pattern's largest
+    // id). A MaxMISO is convex by construction (it is closed under "all
+    // consumers inside"), has one output, and only the input constraint can
+    // fail.
     if (dfg.input_count(s) > c.max_inputs) {
       ++input_rejects;
       continue;
@@ -100,7 +100,6 @@ std::vector<Candidate> maximal_misos_impl(const ir::Dfg& dfg,
   }
   ISEX_COUNT_ADD("ise.miso.candidates", out.size());
   ISEX_COUNT_ADD("ise.miso.input_rejects", input_rejects);
-  ISEX_COUNT_ADD("ise.miso.duplicates", duplicates);
   return out;
 }
 
@@ -115,13 +114,14 @@ std::vector<Candidate> maximal_misos(const ir::Dfg& dfg,
 
 namespace {
 
-/// One level of the growth DFS. Frames are preallocated per search depth so
-/// the inner loop reuses bitset storage instead of allocating per child.
+/// One level of the growth DFS. Frames are preallocated per search depth, so
+/// once their storage is warm a grow call allocates nothing.
 struct GrowFrame {
-  util::Bitset s;     // current subgraph
+  util::Bitset s;     // current subgraph: the members path[0..depth]
   util::Bitset anc;   // union of ancestors(v) over v in s
   util::Bitset desc;  // union of descendants(v) over v in s
-  std::vector<int> frontier;
+  std::uint64_t key = 0;      // Zobrist hash of s (util::BitsetSet)
+  std::vector<int> frontier;  // sorted valid neighbours of s with id > seed
 };
 
 /// Growth enumeration state shared across the recursion.
@@ -132,16 +132,75 @@ struct GrowCtx {
   int block;
   double exec_freq;
   long budget;  // remaining grow-call allowance (max_candidates countdown)
-  std::unordered_set<util::Bitset, util::BitsetHash> visited = {};
+  util::BitsetSet visited;
+  robust::MemCharge mem;  // the visited entries charged to opts.budget
   std::vector<Candidate> out = {};
   bool truncated = false;  // set once opts.budget stops the search
   // Search statistics, published to the obs registry once per enumeration.
   long grow_calls = 0;
-  long input_rejects = 0;
-  long output_rejects = 0;
-  long convexity_rejects = 0;
+  long rejects[4] = {};  // rejects[r]: grow calls with reject_reason() == r
   std::vector<GrowFrame> frames = {};
+  std::vector<int> path = {};  // path[d]: the node frame d added to s
+  // reject_reason() scratch: mark[v] == epoch iff input v is counted.
+  std::vector<std::uint64_t> mark = {};
+  std::uint64_t epoch = 0;
+  std::vector<int> nbrs = {};  // build_frontier() scratch
 };
+
+/// The legality test that rejects frames[depth].s, whose members are
+/// path[0..depth], in is_legal()'s order: 1 inputs, 2 outputs, 3 convexity;
+/// 0 when legal. Counting stops at the first port past its limit, and an
+/// epoch stamp stands in for Dfg::input_count's node-sized seen set.
+int reject_reason(GrowCtx& ctx, std::size_t depth) {
+  const ir::Dfg& dfg = ctx.dfg;
+  const Constraints& c = ctx.opts.constraints;
+  const GrowFrame& f = ctx.frames[depth];
+  const std::span<const int> members(ctx.path.data(), depth + 1);
+  ++ctx.epoch;
+  int inputs = 0;
+  for (int v : members)
+    for (std::int32_t o : dfg.operands_of(v)) {
+      const auto oi = static_cast<std::size_t>(o);
+      if (f.s.test(oi) || ctx.mark[oi] == ctx.epoch) continue;
+      ctx.mark[oi] = ctx.epoch;
+      if (!ir::is_free_input(dfg.node(o).op) && ++inputs > c.max_inputs)
+        return 1;
+    }
+  int outputs = 0;
+  for (int v : members) {
+    if (!ir::produces_value(dfg.node(v).op)) continue;
+    bool escapes = dfg.node(v).live_out;
+    for (std::int32_t u : dfg.consumers_of(v))
+      escapes = escapes || !f.s.test(static_cast<std::size_t>(u));
+    if (escapes && ++outputs > c.max_outputs) return 2;
+  }
+  return dfg.is_convex_unions(f.s, f.anc, f.desc) ? 0 : 3;
+}
+
+/// Fills frames[depth].frontier, the sorted valid neighbours of s with
+/// id > seed: the parent's frontier without path[depth], merged with
+/// path[depth]'s own such neighbours.
+void build_frontier(GrowCtx& ctx, std::size_t depth, int seed) {
+  const ir::Dfg& dfg = ctx.dfg;
+  GrowFrame& f = ctx.frames[depth];
+  const int u = ctx.path[depth];
+  ctx.nbrs.clear();
+  for (auto adjacent : {dfg.operands_of(u), dfg.consumers_of(u)})
+    for (std::int32_t v : adjacent)
+      if (v > seed && !f.s.test(static_cast<std::size_t>(v)) &&
+          dfg.valid_mask().test(static_cast<std::size_t>(v)) &&
+          dfg.node(v).op != ir::Opcode::kConst)
+        ctx.nbrs.push_back(v);
+  std::sort(ctx.nbrs.begin(), ctx.nbrs.end());
+  ctx.nbrs.erase(std::unique(ctx.nbrs.begin(), ctx.nbrs.end()),
+                 ctx.nbrs.end());
+  f.frontier.clear();
+  std::span<const int> pf;  // frame 0 has no parent
+  if (depth > 0) pf = ctx.frames[depth - 1].frontier;
+  std::set_union(pf.begin(), pf.end(), ctx.nbrs.begin(), ctx.nbrs.end(),
+                 std::back_inserter(f.frontier));
+  std::erase(f.frontier, u);
+}
 
 /// Expands the subgraph in frames[depth] (connected, valid nodes only, all
 /// ids >= seed) by every neighbour with id > seed; emits it if legal. The
@@ -158,55 +217,38 @@ void grow(GrowCtx& ctx, std::size_t depth, int seed) {
   ++ctx.grow_calls;
   const ir::Dfg& dfg = ctx.dfg;
   GrowFrame& f = ctx.frames[depth];
-  // Same legality tests in the same short-circuit order as the original
-  // single conjunction; the split only attributes the first failing reason.
-  if (f.s.count() >= 2) {
-    if (dfg.input_count(f.s) > ctx.opts.constraints.max_inputs) {
-      ++ctx.input_rejects;
-    } else if (dfg.output_count(f.s) > ctx.opts.constraints.max_outputs) {
-      ++ctx.output_rejects;
-    } else if (!dfg.is_convex_unions(f.s, f.anc, f.desc)) {
-      ++ctx.convexity_rejects;
-    } else {
-      ctx.out.push_back(
-          make_candidate(dfg, f.s, ctx.lib, ctx.block, ctx.exec_freq));
-    }
-  }
-  if (f.s.count() >= static_cast<std::size_t>(ctx.opts.max_candidate_nodes))
+  const int r = depth == 0 ? -1 : reject_reason(ctx, depth);
+  if (r > 0) ++ctx.rejects[r];
+  if (r == 0)
+    ctx.out.push_back(
+        make_candidate(dfg, f.s, ctx.lib, ctx.block, ctx.exec_freq));
+  if (depth + 1 >= static_cast<std::size_t>(ctx.opts.max_candidate_nodes))
     return;
 
-  // Frontier: valid neighbours with id > seed not yet in s.
-  const util::Bitset& valid = dfg.valid_mask();
-  f.frontier.clear();
-  f.s.for_each([&](std::size_t v) {
-    auto consider = [&](ir::NodeId u) {
-      const auto ui = static_cast<std::size_t>(u);
-      if (u <= seed || f.s.test(ui) || !valid.test(ui)) return;
-      if (dfg.node(u).op == ir::Opcode::kConst) return;
-      f.frontier.push_back(u);
-    };
-    for (std::int32_t o : dfg.operands_of(static_cast<int>(v))) consider(o);
-    for (std::int32_t c : dfg.consumers_of(static_cast<int>(v))) consider(c);
-  });
-  std::sort(f.frontier.begin(), f.frontier.end());
-  f.frontier.erase(std::unique(f.frontier.begin(), f.frontier.end()),
-                   f.frontier.end());
-
+  build_frontier(ctx, depth, seed);
   GrowFrame& child = ctx.frames[depth + 1];
   for (int u : f.frontier) {
-    if (ctx.truncated) return;
-    child.s = f.s;
-    child.s.set(static_cast<std::size_t>(u));
-    if (ctx.visited.insert(child.s).second) {
-      if (rbudget != nullptr && rbudget->charge_mem(subgraph_bytes(dfg))) {
-        ctx.truncated = true;
-        return;
-      }
-      child.anc = f.anc;
-      child.desc = f.desc;
-      dfg.reach_union_add(u, child.anc, child.desc);
-      grow(ctx, depth + 1, seed);
+    // Past the cap no child is grown: stop before inserting and charging.
+    if (ctx.truncated || ctx.budget <= 0) return;
+    // Probe with u set in place: most probes are repeats and copy nothing.
+    const auto ui = static_cast<std::size_t>(u);
+    const std::uint64_t key = f.key ^ util::BitsetSet::zobrist_key(ui);
+    f.s.set(ui);
+    const bool fresh = ctx.visited.insert(f.s, key);
+    f.s.reset(ui);
+    if (!fresh) continue;
+    if (ctx.mem.charge(subgraph_bytes(dfg))) {
+      ctx.truncated = true;
+      return;
     }
+    ctx.path[depth + 1] = u;
+    child.s = f.s;
+    child.s.set(ui);
+    child.key = key;
+    child.anc = f.anc;
+    child.desc = f.desc;
+    dfg.reach_union_add(u, child.anc, child.desc);
+    grow(ctx, depth + 1, seed);
   }
 }
 
@@ -214,12 +256,16 @@ void grow(GrowCtx& ctx, std::size_t depth, int seed) {
 void init_frames(GrowCtx& ctx, int seed) {
   const auto depth_cap = static_cast<std::size_t>(
       std::max(2, ctx.opts.max_candidate_nodes) + 2);
-  if (ctx.frames.size() < depth_cap) ctx.frames.resize(depth_cap);
+  ctx.frames.resize(depth_cap);
+  ctx.path.resize(depth_cap);
+  ctx.mark.resize(static_cast<std::size_t>(ctx.dfg.num_nodes()));
   GrowFrame& f0 = ctx.frames[0];
   f0.s = ctx.dfg.empty_set();
   f0.s.set(static_cast<std::size_t>(seed));
+  f0.key = util::BitsetSet::zobrist_key(static_cast<std::size_t>(seed));
   f0.anc = ctx.dfg.ancestors(seed);
   f0.desc = ctx.dfg.descendants(seed);
+  ctx.path[0] = seed;
 }
 
 /// Body of enumerate_connected() with budget progress reported via `stats`:
@@ -233,7 +279,9 @@ std::vector<Candidate> enumerate_connected_impl(const ir::Dfg& dfg,
                                                 int block, double exec_freq,
                                                 EnumStats* stats) {
   ISEX_SPAN_CAT("ise.enumerate_connected", "ise");
-  GrowCtx ctx{dfg, lib, opts, block, exec_freq, opts.max_candidates};
+  GrowCtx ctx{dfg, lib, opts, block, exec_freq, opts.max_candidates,
+              util::BitsetSet(static_cast<std::size_t>(dfg.num_nodes())),
+              {opts.budget}};
   const util::Bitset& valid = dfg.valid_mask();
   if (stats != nullptr) stats->seeds_total = dfg.num_nodes();
   for (int seed = 0; seed < dfg.num_nodes(); ++seed) {
@@ -251,9 +299,11 @@ std::vector<Candidate> enumerate_connected_impl(const ir::Dfg& dfg,
   }
   ISEX_COUNT_ADD("ise.enum.candidates", ctx.out.size());
   ISEX_COUNT_ADD("ise.enum.grow_calls", ctx.grow_calls);
-  ISEX_COUNT_ADD("ise.enum.input_rejects", ctx.input_rejects);
-  ISEX_COUNT_ADD("ise.enum.output_rejects", ctx.output_rejects);
-  ISEX_COUNT_ADD("ise.enum.convexity_rejects", ctx.convexity_rejects);
+  ISEX_COUNT_ADD("ise.enum.input_rejects", ctx.rejects[1]);
+  ISEX_COUNT_ADD("ise.enum.output_rejects", ctx.rejects[2]);
+  ISEX_COUNT_ADD("ise.enum.convexity_rejects", ctx.rejects[3]);
+  ISEX_COUNT_ADD("ise.enum.visited_entries", ctx.visited.size());
+  ISEX_COUNT_ADD("ise.enum.visited_bytes", ctx.visited.bytes());
   if (ctx.budget <= 0) ISEX_COUNT("ise.enum.budget_exhausted");
   if (ctx.truncated) ISEX_COUNT("ise.enum.robust_budget_truncations");
   return std::move(ctx.out);
@@ -285,7 +335,7 @@ std::vector<Candidate> enumerate_disconnected(
     seeds.resize(static_cast<std::size_t>(max_seeds));
 
   std::vector<Candidate> out;
-  std::unordered_set<util::Bitset, util::BitsetHash> seen;
+  util::BitsetSet seen(static_cast<std::size_t>(dfg.num_nodes()));
   for (std::size_t i = 0; i < seeds.size() &&
                           static_cast<int>(out.size()) < max_pairs;
        ++i) {
@@ -310,7 +360,7 @@ std::vector<Candidate> enumerate_disconnected(
       }
       util::Bitset merged = a.nodes;
       merged |= b.nodes;
-      if (!seen.insert(merged).second) continue;
+      if (!seen.insert(merged)) continue;
       if (!is_legal(dfg, merged, constraints)) {
         ++legality_rejects;
         continue;
@@ -339,12 +389,12 @@ robust::Outcome<std::vector<Candidate>> enumerate_candidates_bounded(
   EnumStats connected_stats;
   std::vector<Candidate> out = enumerate_connected_impl(
       dfg, lib, opts, block, exec_freq, &connected_stats);
-  std::unordered_set<util::Bitset, util::BitsetHash> seen;
+  util::BitsetSet seen(static_cast<std::size_t>(dfg.num_nodes()));
   for (const Candidate& c : out) seen.insert(c.nodes);
   EnumStats miso_stats;
   for (Candidate& m : maximal_misos_impl(dfg, lib, opts.constraints, block,
                                          exec_freq, opts.budget, &miso_stats))
-    if (seen.insert(m.nodes).second) out.push_back(std::move(m));
+    if (seen.insert(m.nodes)) out.push_back(std::move(m));
 #if ISEX_OBS_ENABLED
   for (const Candidate& c : out)
     ISEX_HIST("ise.candidate_nodes", c.nodes.count());

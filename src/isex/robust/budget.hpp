@@ -201,6 +201,24 @@ class Budget {
   std::atomic<bool> mem_refused_{false};  // an allocation was refused (latch)
 };
 
+/// Memory a scope charged to a Budget, released when the scope ends: the
+/// accounted bytes track the structures that are alive, not the total a run
+/// ever allocated. A null Budget* is unlimited.
+struct MemCharge {
+  Budget* budget;
+  std::size_t bytes = 0;
+  /// Charges n bytes; true (and nothing charged) when the budget refuses.
+  bool charge(std::size_t n) {
+    if (budget == nullptr) return false;
+    if (budget->charge_mem(n)) return true;
+    bytes += n;
+    return false;
+  }
+  ~MemCharge() {
+    if (bytes > 0) budget->release_mem(bytes);
+  }
+};
+
 /// Worker-local charging adapter over one shared Budget: accumulates charges
 /// locally and forwards them in strides, so T workers metering one Budget
 /// cost one relaxed atomic RMW per kStride charges instead of one per charge.

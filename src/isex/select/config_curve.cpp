@@ -35,15 +35,27 @@ std::vector<ise::Candidate> disjoint_pool(const ir::Dfg& dfg,
               return da > db;
             });
   util::Bitset covered = dfg.empty_set();
+  util::Bitset anc = dfg.empty_set(), desc = dfg.empty_set();
   std::vector<ise::Candidate> pool;
   std::vector<util::Bitset> accepted;
   for (auto& c : cands) {
     if (c.total_gain() <= 0) continue;
     if (c.nodes.intersects(covered)) continue;
     // Disjointness is not enough: the pool must stay jointly atomically
-    // schedulable (see codegen::jointly_schedulable).
+    // schedulable (see codegen::jointly_schedulable). The accepted CIs are,
+    // so a new cycle must run through c. If c is convex, that cycle leaves
+    // c into an accepted CI and comes back from one: c's descendant union
+    // and its ancestor union both meet `covered`. When either misses it, c
+    // is safe without rebuilding the contracted graph.
+    anc.clear();
+    desc.clear();
+    c.nodes.for_each([&](std::size_t v) {
+      dfg.reach_union_add(static_cast<ir::NodeId>(v), anc, desc);
+    });
     accepted.push_back(c.nodes);
-    if (!codegen::jointly_schedulable(dfg, accepted)) {
+    const bool fast = dfg.is_convex_unions(c.nodes, anc, desc) &&
+                      !(anc.intersects(covered) && desc.intersects(covered));
+    if (!fast && !codegen::jointly_schedulable(dfg, accepted)) {
       accepted.pop_back();
       continue;
     }

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <vector>
 
 namespace isex::util {
@@ -23,6 +24,8 @@ class Bitset {
       : size_(size), words_((size + 63) / 64, 0) {}
 
   std::size_t size() const { return size_; }
+  /// The backing words, bit i in words()[i / 64] at position i % 64.
+  std::span<const std::uint64_t> words() const { return words_; }
 
   void set(std::size_t i) { words_[i >> 6] |= (std::uint64_t{1} << (i & 63)); }
   void reset(std::size_t i) { words_[i >> 6] &= ~(std::uint64_t{1} << (i & 63)); }

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <unordered_set>
 
+#include "isex/obs/metrics.hpp"
+#include "isex/robust/budget.hpp"
+#include "isex/workloads/workloads.hpp"
 #include "test_util.hpp"
 
 namespace isex::ise {
@@ -147,6 +151,153 @@ TEST(Estimate, ChainedAddsFitOneCycle) {
   EXPECT_DOUBLE_EQ(e.sw_cycles, 4);
   EXPECT_DOUBLE_EQ(e.gain_per_exec, 3);
   EXPECT_NEAR(e.area, 4.0, 1e-9);
+}
+
+// --- differential: the growth enumerator against a naive reference --------
+
+// The straightforward search the shipped enumerator must reproduce: the
+// Dfg::input_count/output_count/is_convex queries on every grow call, a
+// frontier rebuilt from every member, a std::set visited set. Same seed
+// order, ascending frontier, visit-once rule, cap and legality test order.
+struct ReferenceEnumerator {
+  const ir::Dfg& d;
+  const EnumOptions& o;
+  long budget = o.max_candidates;
+  std::set<std::vector<int>> visited = {};
+  std::vector<util::Bitset> out = {};
+  long grow_calls = 0, input_rejects = 0, output_rejects = 0,
+       convexity_rejects = 0;
+
+  void run() {
+    for (int seed = 0; seed < d.num_nodes(); ++seed) {
+      if (!ir::is_valid_for_ci(d.node(seed).op) ||
+          d.node(seed).op == ir::Opcode::kConst)
+        continue;
+      util::Bitset s = d.empty_set();
+      s.set(static_cast<std::size_t>(seed));
+      grow(s, seed);
+      if (budget <= 0) break;
+    }
+  }
+
+  void grow(const util::Bitset& s, int seed) {
+    if (budget <= 0) return;
+    --budget;
+    ++grow_calls;
+    if (s.count() >= 2) {
+      if (d.input_count(s) > o.constraints.max_inputs) ++input_rejects;
+      else if (d.output_count(s) > o.constraints.max_outputs) ++output_rejects;
+      else if (!d.is_convex(s)) ++convexity_rejects;
+      else out.push_back(s);
+    }
+    if (s.count() >= static_cast<std::size_t>(o.max_candidate_nodes)) return;
+    std::set<int> frontier;
+    s.for_each([&](std::size_t v) {
+      auto consider = [&](ir::NodeId u) {
+        if (u > seed && !s.test(static_cast<std::size_t>(u)) &&
+            ir::is_valid_for_ci(d.node(u).op) &&
+            d.node(u).op != ir::Opcode::kConst)
+          frontier.insert(u);
+      };
+      for (auto x : d.node(static_cast<int>(v)).operands) consider(x);
+      for (auto x : d.node(static_cast<int>(v)).consumers) consider(x);
+    });
+    for (int u : frontier) {
+      util::Bitset t = s;
+      t.set(static_cast<std::size_t>(u));
+      if (visited.insert(t.to_vector()).second) grow(t, seed);
+    }
+  }
+};
+
+std::uint64_t counter(const char* name) {
+  return obs::Registry::global().counter(name).get();
+}
+
+// Runs both enumerators and compares the candidate node-set sequence and,
+// with obs compiled in, the grow/reject counters.
+void expect_matches_reference(const ir::Dfg& d, long cap,
+                              const std::string& what) {
+  EnumOptions opts;
+  opts.max_candidates = cap;
+  ReferenceEnumerator ref{d, opts};
+  ref.run();
+  const char* names[] = {"ise.enum.grow_calls", "ise.enum.input_rejects",
+                         "ise.enum.output_rejects",
+                         "ise.enum.convexity_rejects"};
+  std::uint64_t before[4];
+  for (int i = 0; i < 4; ++i) before[i] = counter(names[i]);
+  const auto got = enumerate_connected(d, lib(), opts);
+  ASSERT_EQ(got.size(), ref.out.size()) << what << " cap " << cap;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got[i].nodes, ref.out[i])
+        << what << " cap " << cap << ": candidate " << i << " differs";
+#if ISEX_OBS_ENABLED
+  const long want[] = {ref.grow_calls, ref.input_rejects, ref.output_rejects,
+                       ref.convexity_rejects};
+  for (int i = 0; i < 4; ++i)
+    EXPECT_EQ(counter(names[i]) - before[i],
+              static_cast<std::uint64_t>(want[i]))
+        << what << " cap " << cap << ": " << names[i];
+#endif
+}
+
+constexpr long kCaps[] = {7, 50, 333, EnumOptions{}.max_candidates};
+
+// One case per graph, so ctest runs the default-cap searches in parallel.
+class EnumerateDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(EnumerateDifferential, RandomDfgMatchesReference) {
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 31 + 7);
+  const ir::Dfg d =
+      isex::testing::random_dfg(rng, 4, 30 + 25 * GetParam(), 0.1);
+  const std::string what = "random dfg " + std::to_string(GetParam());
+  for (long cap : kCaps) expect_matches_reference(d, cap, what);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EnumerateDifferential, ::testing::Range(0, 6));
+
+/// The block of p with the most nodes.
+const ir::Dfg& largest_block(const ir::Program& p) {
+  int best = 0;
+  for (int b = 1; b < p.num_blocks(); ++b)
+    if (p.block(b).dfg.num_nodes() > p.block(best).dfg.num_nodes()) best = b;
+  return p.block(best).dfg;
+}
+
+class KernelDifferential : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(KernelDifferential, HotBlockMatchesReference) {
+  const ir::Program p = workloads::make_benchmark(GetParam());
+  for (long cap : kCaps)
+    expect_matches_reference(largest_block(p), cap, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, KernelDifferential,
+    ::testing::Values("crc32", "sha", "adpcm_enc", "3des"));
+
+// The grow-call cap stops insertion: every visited entry charged to the
+// budget is followed by a counted grow call, so a capped block cannot
+// exhaust a memory budget with subgraphs it never grows.
+TEST(EnumerateBudget, CapStopsChargingVisitedEntries) {
+  const ir::Program p = workloads::make_benchmark("3des");
+  const ir::Dfg& d = largest_block(p);
+  // The unit enumeration charges per retained subgraph.
+  const std::size_t unit =
+      8 * ((static_cast<std::size_t>(d.num_nodes()) + 63) / 64) + 64;
+  for (long cap : {7L, 50L, 333L}) {
+    robust::Budget b;  // no limits: only meters the charges
+    EnumOptions opts;
+    opts.max_candidates = cap;
+    opts.budget = &b;
+    enumerate_connected(d, lib(), opts);
+    const auto r = b.report();
+    EXPECT_EQ(r.nodes_charged, cap) << "the cap must bind";
+    EXPECT_EQ(r.mem_peak_bytes % unit, 0u);
+    EXPECT_LE(static_cast<long>(r.mem_peak_bytes / unit), r.nodes_charged)
+        << "cap " << cap << ": charged entries that were never grown";
+  }
 }
 
 }  // namespace

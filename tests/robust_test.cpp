@@ -14,6 +14,7 @@
 #include "isex/rt/schedulability.hpp"
 #include "isex/rt/simulator.hpp"
 #include "isex/rtreconfig/algorithms.hpp"
+#include "isex/workloads/workloads.hpp"
 #include "test_util.hpp"
 
 namespace isex::robust {
@@ -277,6 +278,36 @@ TEST(BoundedSolvers, EnumerationTruncationReportsCoverageGap) {
   EXPECT_GT(out.optimality_gap, 0.0);
   EXPECT_LE(out.optimality_gap, 1.0);
   EXPECT_NE(out.detail.find("seeds"), std::string::npos);
+}
+
+// Enumeration releases the memory it charged once its sets are freed, so a
+// memory budget bounds live memory: the same block enumerated twice under
+// one budget fits both times when one run fits.
+TEST(BoundedSolvers, EnumerationReleasesChargedMemory) {
+  const ir::Program p = workloads::make_benchmark("crc32");
+  const ir::Dfg* dfg = nullptr;
+  for (int b = 0; b < p.num_blocks(); ++b)
+    if (p.block(b).dfg.num_nodes() == 62) dfg = &p.block(b).dfg;
+  ASSERT_NE(dfg, nullptr);
+  const auto& lib = hw::CellLibrary::standard_018um();
+  ise::EnumOptions o;
+  Budget meter;  // no limits: measures one run's accounted peak
+  o.budget = &meter;
+  const auto first = ise::enumerate_candidates_bounded(*dfg, lib, o);
+  ASSERT_EQ(first.status, Status::kExact);
+  const std::size_t peak = meter.report().mem_peak_bytes;
+  ASSERT_GT(peak, 0u);
+
+  Budget b;
+  b.set_mem_budget(peak + peak / 2);
+  o.budget = &b;
+  for (int run = 0; run < 2; ++run) {
+    const auto out = ise::enumerate_candidates_bounded(*dfg, lib, o);
+    EXPECT_EQ(out.status, Status::kExact)
+        << "run " << run << ": " << out.detail;
+    EXPECT_EQ(out.value.size(), first.value.size()) << "run " << run;
+  }
+  EXPECT_EQ(b.report().mem_peak_bytes, peak);
 }
 
 TEST(BoundedSolvers, ReconfigEmptyProblemIsInfeasible) {

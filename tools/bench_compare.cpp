@@ -28,7 +28,8 @@
 // losing its pruning, a lock on the hot path), not 5% drift. Deterministic
 // work counters get a tight 10% band — they should not move at all unless
 // the algorithm changed. Per-kernel curve quality (sw_cycles, best_cycles,
-// configs in self_profile) must match exactly.
+// configs in self_profile) and the curve phase's identification counters
+// (ise.*, select.*) must match exactly.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -233,7 +234,10 @@ void compare_self_profile(const Json& base, const Json& fresh) {
     check_ratio("self_profile." + name + ".total_seconds",
                 num(bk.find("total_seconds")), num(fk->find("total_seconds")),
                 1.5, 0.05);
-    // Work counters are deterministic per phase: 10% band, ignore tiny ones.
+    // Work counters are deterministic per phase. Identification and pooling
+    // work in the curve phase (ise.*, select.*) must not move at all, so a
+    // PR that changes how many subgraphs are grown or rejected shows up
+    // here; the others get a 10% band and tiny ones are ignored.
     const Json* bph = bk.find("phases");
     const Json* fph = fk->find("phases");
     if (bph == nullptr || fph == nullptr || !bph->is_array() ||
@@ -248,8 +252,16 @@ void compare_self_profile(const Json& base, const Json& fresh) {
           phase != nullptr && phase->is_string() ? phase->as_string() : "?";
       for (const auto& [cname, bval] : bc->members()) {
         if (!bval.is_number()) continue;
-        check_drift("self_profile." + name + "." + pname + "." + cname,
-                    bval.as_number(), num(fc->find(cname)), 0.10, 100);
+        const std::string metric =
+            "self_profile." + name + "." + pname + "." + cname;
+        if (pname == "curve" && (cname.rfind("ise.", 0) == 0 ||
+                                 cname.rfind("select.", 0) == 0)) {
+          const double b = bval.as_number(), f = num(fc->find(cname));
+          record(metric, b, f, 0, b == f,
+                 b == f ? "exact match" : "identification work drifted");
+          continue;
+        }
+        check_drift(metric, bval.as_number(), num(fc->find(cname)), 0.10, 100);
       }
     }
   }
