@@ -1,5 +1,6 @@
 #include "isex/certify/pareto.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "isex/obs/metrics.hpp"
@@ -99,6 +100,47 @@ CertifyReport check_eps_cover(const pareto::Front& exact,
     }
   }
   r.pass();
+  publish(r);
+  return r;
+}
+
+CertifyReport check_curve_on_front(const std::vector<select::Config>& curve,
+                                   const pareto::Front& exact, double grid,
+                                   const std::string& what) {
+  CertifyReport r;
+  auto same = [](double a, double b) {
+    return std::abs(a - b) <= 1e-9 * std::max(1.0, std::abs(b));
+  };
+  for (std::size_t i = 0; i < curve.size(); ++i) {
+    const select::Config& p = curve[i];
+    auto at = [&] {
+      return what + " curve point #" + std::to_string(i) + " " +
+             point_str({p.area, p.cycles});
+    };
+    const double c = std::round(p.area / grid);
+    if (!same(c * grid, p.area)) {
+      r.fail("pareto.curve_on_front",
+             at() + " is off the " + std::to_string(grid) + " area grid");
+      break;
+    }
+    // Staircase value at c: the last front point with cost <= c (plain
+    // scan, no reliance on the front's ordering beyond ascending cost).
+    const pareto::Point* step = nullptr;
+    bool vertex = false;
+    for (const pareto::Point& q : exact) {
+      if (q.cost > c + 0.5) break;
+      step = &q;
+      vertex = std::abs(q.cost - c) < 0.5;
+    }
+    if (step == nullptr || !same(p.cycles, step->value) || !vertex) {
+      r.fail("pareto.curve_on_front",
+             at() + " is not the exact front's vertex at cost " +
+                 std::to_string(static_cast<long>(c)) + " (staircase " +
+                 (step ? point_str(*step) : std::string("empty")) + ")");
+      break;
+    }
+  }
+  if (r.ok()) r.pass();
   publish(r);
   return r;
 }

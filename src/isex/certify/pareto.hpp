@@ -7,8 +7,11 @@
 // implementation), so a sorting or pruning bug cannot certify itself.
 #pragma once
 
+#include <vector>
+
 #include "isex/certify/report.hpp"
 #include "isex/pareto/front.hpp"
+#include "isex/select/config_curve.hpp"
 
 namespace isex::certify {
 
@@ -22,5 +25,15 @@ CertifyReport check_front(const pareto::Front& f, const std::string& what);
 /// an approx point within factor (1+eps) in both coordinates.
 CertifyReport check_eps_cover(const pareto::Front& exact,
                               const pareto::Front& approx, double eps);
+
+/// Re-checks that a task's configuration curve lies on the exact front over
+/// the same knapsack items: every point (area, cycles) sits on the area grid,
+/// and at cost c = round(area / grid) the front's staircase value equals
+/// `cycles` (1e-9 relative) and is first reached there, i.e. the point is a
+/// front vertex. This pits the curve builder's knapsack
+/// (opt::knapsack_profile) against the independent Pareto DP.
+CertifyReport check_curve_on_front(const std::vector<select::Config>& curve,
+                                   const pareto::Front& exact, double grid,
+                                   const std::string& what);
 
 }  // namespace isex::certify

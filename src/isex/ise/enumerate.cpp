@@ -297,6 +297,7 @@ std::vector<Candidate> enumerate_connected_impl(const ir::Dfg& dfg,
     stats->truncated = true;
     if (stats->seeds_processed > 0) --stats->seeds_processed;  // cut mid-seed
   }
+  ISEX_COUNT("ise.enum.calls");
   ISEX_COUNT_ADD("ise.enum.candidates", ctx.out.size());
   ISEX_COUNT_ADD("ise.enum.grow_calls", ctx.grow_calls);
   ISEX_COUNT_ADD("ise.enum.input_rejects", ctx.rejects[1]);

@@ -169,13 +169,20 @@ std::vector<opt::KnapsackItem> selection_items(
 ConfigCurve build_config_curve(const ir::Program& prog,
                                const std::vector<std::int64_t>& counts,
                                const hw::CellLibrary& lib,
-                               const CurveOptions& opts) {
+                               const CurveOptions& opts,
+                               std::vector<opt::KnapsackItem>* items_out) {
   ISEX_SPAN_CAT("select.build_config_curve", "select");
   ISEX_COUNT("select.curve_builds");
   const double base = base_cycles(prog, counts, lib);
-  const auto items = selection_items(prog, counts, lib, opts);
+  auto items = selection_items(prog, counts, lib, opts);
   ISEX_COUNT_ADD("select.knapsack_items", items.size());
+  ConfigCurve curve = curve_from_items(items, base, opts);
+  if (items_out != nullptr) *items_out = std::move(items);
+  return curve;
+}
 
+ConfigCurve curve_from_items(const std::vector<opt::KnapsackItem>& items,
+                             double base, const CurveOptions& opts) {
   double max_area = 0;
   for (const auto& it : items) max_area += it.area;
 

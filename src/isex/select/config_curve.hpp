@@ -61,11 +61,21 @@ std::vector<ise::Candidate> disjoint_pool(const ir::Dfg& dfg,
 
 /// Builds the configuration curve for a task. `counts` gives per-block
 /// execution counts — WCET-path counts for the real-time chapters, profiled
-/// counts for the speedup studies.
+/// counts for the speedup studies. When `items_out` is non-null it receives
+/// the selection_items() the curve was built from, so callers that also need
+/// the task's Pareto items (certify, `isex pareto`) identify only once.
 ConfigCurve build_config_curve(const ir::Program& prog,
                                const std::vector<std::int64_t>& counts,
                                const hw::CellLibrary& lib,
-                               const CurveOptions& opts);
+                               const CurveOptions& opts,
+                               std::vector<opt::KnapsackItem>* items_out =
+                                   nullptr);
+
+/// The knapsack half of build_config_curve: sweeps an exact 0-1 knapsack
+/// over every area budget (quantized to opts.area_grid) and thins the
+/// breakpoints to opts.max_points. `base` is the software-only cycle count.
+ConfigCurve curve_from_items(const std::vector<opt::KnapsackItem>& items,
+                             double base, const CurveOptions& opts);
 
 /// The additive (gain, area) items the curve is built from: the task's
 /// custom-instruction library after per-block conflict thinning and optional

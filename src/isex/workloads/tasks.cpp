@@ -32,7 +32,13 @@ select::CurveOptions default_curve_options(const ir::Program& prog) {
 
 namespace {
 
-rt::Task build_task(const std::string& benchmark) {
+/// One memo entry: the task and the knapsack items its curve came from.
+struct TaskEntry {
+  rt::Task task;
+  std::vector<opt::KnapsackItem> items;
+};
+
+TaskEntry build_task(const std::string& benchmark) {
   ISEX_SPAN_CAT("workloads.build_task." + benchmark, "workloads");
   ISEX_COUNT("workloads.tasks_built");
   const auto& lib = hw::CellLibrary::standard_018um();
@@ -40,21 +46,17 @@ rt::Task build_task(const std::string& benchmark) {
   const auto cost = ir::Program::sum_cost(
       [&lib](const ir::Node& n) { return lib.sw_cycles(n); });
   const auto counts = prog.wcet_counts(cost);
-  const auto curve =
-      select::build_config_curve(prog, counts, lib, default_curve_options(prog));
-  rt::Task t;
-  t.name = benchmark;
-  t.configs = curve.points;
-  return t;
+  TaskEntry e;
+  auto curve = select::build_config_curve(
+      prog, counts, lib, default_curve_options(prog), &e.items);
+  e.task.name = benchmark;
+  e.task.configs = std::move(curve.points);
+  return e;
 }
-
-}  // namespace
-
-namespace {
 
 struct TaskCache {
   std::mutex mu;
-  std::map<std::string, rt::Task> map;  // node-stable: refs survive inserts
+  std::map<std::string, TaskEntry> map;  // node-stable: refs survive inserts
 };
 
 TaskCache& task_cache() {
@@ -62,15 +64,24 @@ TaskCache& task_cache() {
   return c;
 }
 
-}  // namespace
-
-const rt::Task& cached_task(const std::string& benchmark) {
+const TaskEntry& cached_entry(const std::string& benchmark) {
   TaskCache& c = task_cache();
   std::scoped_lock lock(c.mu);
   auto it = c.map.find(benchmark);
   if (it == c.map.end())
     it = c.map.emplace(benchmark, build_task(benchmark)).first;
   return it->second;
+}
+
+}  // namespace
+
+const rt::Task& cached_task(const std::string& benchmark) {
+  return cached_entry(benchmark).task;
+}
+
+const std::vector<opt::KnapsackItem>& cached_items(
+    const std::string& benchmark) {
+  return cached_entry(benchmark).items;
 }
 
 void prefetch_tasks(const std::vector<std::string>& names) {
@@ -87,7 +98,7 @@ void prefetch_tasks(const std::vector<std::string>& names) {
   // kernels and threads available, build them outside the lock concurrently
   // (a task's content is independent of build order) and publish at the end.
   if (missing.size() <= 1 || util::max_threads() <= 1) return;
-  std::vector<rt::Task> built(missing.size());
+  std::vector<TaskEntry> built(missing.size());
   util::parallel_for(missing.size(),
                      [&](std::size_t i) { built[i] = build_task(missing[i]); });
   std::scoped_lock lock(c.mu);

@@ -22,6 +22,13 @@ select::CurveOptions default_curve_options(const ir::Program& prog);
 /// benchmark — curve construction enumerates thousands of candidates.
 const rt::Task& cached_task(const std::string& benchmark);
 
+/// The (area, gain) knapsack items cached_task(benchmark)'s curve was built
+/// from: the custom-instruction library after disjoint-pool thinning and
+/// isomorphic merging (select::selection_items). Shares the task memo, so
+/// the Pareto fronts of `isex pareto` / `isex certify` are over exactly the
+/// items the solver's curve came from, with no second identification.
+const std::vector<opt::KnapsackItem>& cached_items(const std::string& benchmark);
+
 /// Builds every not-yet-cached benchmark in `names` concurrently (tasks are
 /// independent, so build order does not affect content) and publishes them
 /// to the cache. Serial no-op with one thread or at most one cold name.

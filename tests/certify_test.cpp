@@ -277,6 +277,48 @@ TEST(CertifyPareto, MissingCoverageFailsTheEpsCoverCheck) {
   EXPECT_FALSE(check_eps_cover(exact, {}, 0.1).ok());
 }
 
+/// The exact front over the knapsack items benchmark k's task curve came
+/// from, on the curve's 0.25-adder grid (what `isex certify` checks).
+pareto::Front task_items_front(const std::string& k) {
+  std::vector<std::pair<double, double>> ag;
+  for (const auto& it : workloads::cached_items(k))
+    ag.emplace_back(it.area, it.gain);
+  return pareto::exact_workload_front(pareto::quantize_items(ag, 0.25),
+                                      workloads::cached_task(k).sw_cycles());
+}
+
+constexpr const char* kCurveKernels[] = {"crc32", "sha", "adpcm_enc",
+                                         "blowfish"};
+
+TEST(CertifyPareto, GenuineTaskCurvesLieOnTheirExactFront) {
+  for (const char* k : kCurveKernels) {
+    const auto& curve = workloads::cached_task(k).configs;
+    ASSERT_GE(curve.size(), 2u) << k;
+    const CertifyReport r =
+        check_curve_on_front(curve, task_items_front(k), 0.25, k);
+    EXPECT_TRUE(r.ok()) << r.summary();
+    EXPECT_GT(r.checks, 0) << k;
+  }
+}
+
+TEST(CertifyPareto, CurvePointOffTheExactFrontIsRejected) {
+  for (const char* k : kCurveKernels) {
+    const auto& genuine = workloads::cached_task(k).configs;
+    const auto exact = task_items_front(k);
+    for (std::size_t i = 0; i < genuine.size(); ++i)
+      for (const int dir : {-1, 1}) {
+        auto moved = genuine;
+        moved[i].cycles += dir;
+        EXPECT_FALSE(check_curve_on_front(moved, exact, 0.25, k).ok())
+            << k << " point #" << i << " cycles " << dir;
+        auto shifted = genuine;
+        shifted[i].area += dir * 0.25;
+        EXPECT_FALSE(check_curve_on_front(shifted, exact, 0.25, k).ok())
+            << k << " point #" << i << " area " << dir << " grid step";
+      }
+  }
+}
+
 // --- ladder integration ------------------------------------------------------
 
 TEST(CertifyLadder, FailedCertificateDemotesTheRung) {

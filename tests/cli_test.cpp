@@ -7,11 +7,15 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "isex/cli/driver.hpp"
+#include "isex/obs/metrics.hpp"
+#include "isex/workloads/tasks.hpp"
+#include "isex/workloads/workloads.hpp"
 
 namespace isex::cli {
 namespace {
@@ -120,6 +124,21 @@ TEST(Cli, CertifyWithoutBenchmarksIsUsageError) {
 TEST(Cli, CertifyPassesOnGenuineSolverOutput) {
   // Every stage's witness checker must accept the real solvers' answers.
   EXPECT_EQ(run_quiet({"certify", "crc32"}), 0);
+}
+
+TEST(Cli, CertifyIdentifiesEachBlockOnceOnAWarmTaskMemo) {
+#if !ISEX_OBS_ENABLED
+  GTEST_SKIP() << "counts connected enumerations through obs counters";
+#endif
+  // The Pareto section reuses the memoized curve items, so the only
+  // identification left is the per-block pool check.
+  workloads::cached_task("crc32");
+  auto& calls = obs::Registry::global().counter("ise.enum.calls");
+  const auto before = calls.get();
+  ASSERT_EQ(run_quiet({"certify", "crc32"}), 0);
+  EXPECT_EQ(calls.get() - before,
+            static_cast<std::uint64_t>(
+                workloads::make_benchmark("crc32").num_blocks()));
 }
 
 TEST(Cli, ParanoidSelectCertifiesCleanOnGenuineOutput) {

@@ -74,6 +74,24 @@ TEST(Tasks, CachedTaskHasValidCurve) {
   EXPECT_EQ(&cached_task("sha"), &t);
 }
 
+TEST(Tasks, CachedItemsRebuildTheCachedCurve) {
+  // The memo's knapsack items are the ones the curve was built from: the
+  // knapsack half of build_config_curve over them gives the curve back.
+  prefetch_tasks(benchmark_names());
+  for (const auto& k : benchmark_names()) {
+    const auto& t = cached_task(k);
+    const auto rebuilt = select::curve_from_items(
+        cached_items(k), t.sw_cycles(),
+        default_curve_options(make_benchmark(k)));
+    ASSERT_EQ(rebuilt.points.size(), t.configs.size()) << k;
+    for (std::size_t i = 0; i < t.configs.size(); ++i) {
+      EXPECT_EQ(rebuilt.points[i].area, t.configs[i].area) << k << " #" << i;
+      EXPECT_EQ(rebuilt.points[i].cycles, t.configs[i].cycles)
+          << k << " #" << i;
+    }
+  }
+}
+
 TEST(Tasks, AllPaperTaskSetsBuild) {
   for (const auto* sets : {&ch3_tasksets(), &ch4_tasksets(), &ch5_tasksets()})
     for (const auto& names : *sets)
