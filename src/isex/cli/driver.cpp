@@ -810,6 +810,11 @@ int cmd_certify(Ctx& ctx, std::vector<std::string> rest) {
         ts, budget, customize::EdfOptions{}.area_grid, edf));
     customize::RmsOptions ro;
     ro.max_nodes = 500000;  // deterministic cap; truncation is certified too
+    // A limit-free budget: it only lets SIGINT/SIGTERM's global cancel stop
+    // the search within one charge stride. The node cap above already keeps
+    // the search serial, so results without a signal are unchanged.
+    robust::Budget cancel_only;
+    ro.budget = &cancel_only;
     const auto rms = customize::select_rms(ts, budget, ro);
     rep.merge(certify::check_selection_rms(ts, budget, rms));
     rep.merge(certify::spot_check_rms(ts, budget, rms));

@@ -1,5 +1,6 @@
 #include "isex/robust/budget.hpp"
 
+#include <algorithm>
 #include <atomic>
 
 #include "isex/obs/trace.hpp"
@@ -96,6 +97,18 @@ void Budget::release_mem(std::size_t bytes) {
   while (!mem_current_.compare_exchange_weak(
       cur, bytes > cur ? 0 : cur - bytes, std::memory_order_relaxed)) {
   }
+}
+
+Budget::MemPhase Budget::begin_mem_phase() {
+  const MemPhase phase{mem_current(), mem_peak_.load(std::memory_order_relaxed)};
+  mem_peak_.store(phase.base, std::memory_order_relaxed);
+  return phase;
+}
+
+std::size_t Budget::end_mem_phase(const MemPhase& phase) {
+  const std::size_t peak = mem_peak_.load(std::memory_order_relaxed);
+  mem_peak_.store(std::max(peak, phase.outer_peak), std::memory_order_relaxed);
+  return peak - phase.base;
 }
 
 void Budget::check_time() {

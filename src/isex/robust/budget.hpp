@@ -160,6 +160,22 @@ class Budget {
   bool charge_mem(std::size_t bytes);
   /// Releases previously charged bytes (the peak stays recorded).
   void release_mem(std::size_t bytes);
+  /// Accounted bytes charged and not yet released.
+  std::size_t mem_current() const {
+    return mem_current_.load(std::memory_order_relaxed);
+  }
+
+  /// Reads one phase's own accounted-memory peak, apart from the run's
+  /// overall high-water mark: begin_mem_phase() restarts the mark at the
+  /// bytes charged now; end_mem_phase() returns how far the phase rose above
+  /// that level and restores the run's overall mark. Call both while no
+  /// worker charges this budget.
+  struct MemPhase {
+    std::size_t base = 0;        // bytes charged when the phase began
+    std::size_t outer_peak = 0;  // the run's mark before the phase
+  };
+  MemPhase begin_mem_phase();
+  std::size_t end_mem_phase(const MemPhase& phase);
 
   /// True when the time or node limit is exhausted or a global cancel is
   /// pending. Re-reads the clock, so coarse loops may poll this directly

@@ -62,54 +62,145 @@ std::uint64_t select_cache_key(const rt::TaskSet& ts, double area_budget,
 }
 
 const ResultCache::Entry* ResultCache::find(std::uint64_t key) {
-  const auto it = map_.find(key);
-  if (it == map_.end()) {
+  const Entry* e = lru_.find(key);
+  if (e == nullptr) {
     ++misses_;
     ISEX_COUNT("serve.cache.misses");
     return nullptr;
   }
-  lru_.splice(lru_.begin(), lru_, it->second);
   ++hits_;
   ISEX_COUNT("serve.cache.hits");
-  return &it->second->second;
+  return e;
 }
 
 void ResultCache::insert(std::uint64_t key, Entry entry) {
-  remove(key);
-  bytes_ += entry.result_json.size();
-  lru_.emplace_front(key, std::move(entry));
-  map_[key] = lru_.begin();
-  while (map_.size() > opts_.max_entries || bytes_ > opts_.max_bytes) {
-    if (lru_.size() <= 1) break;  // always keep the newest entry
-    evict_lru();
-  }
-  ISEX_GAUGE_SET("serve.cache.entries", map_.size());
-  ISEX_GAUGE_SET("serve.cache.bytes", bytes_);
+  const std::size_t evicted = lru_.insert(key, std::move(entry));
+  evictions_ += evicted;
+  if (evicted > 0) ISEX_COUNT_ADD("serve.cache.evictions", evicted);
+  ISEX_GAUGE_SET("serve.cache.entries", lru_.size());
+  ISEX_GAUGE_SET("serve.cache.bytes", lru_.bytes());
 }
 
 void ResultCache::erase(std::uint64_t key) {
-  if (remove(key)) {
+  if (lru_.erase(key)) {
     ++poisoned_;  // the only caller of public erase() is poison eviction
     ISEX_COUNT("serve.cache.poisoned");
   }
 }
 
-bool ResultCache::remove(std::uint64_t key) {
-  const auto it = map_.find(key);
-  if (it == map_.end()) return false;
-  bytes_ -= it->second->second.result_json.size();
-  lru_.erase(it->second);
-  map_.erase(it);
+namespace {
+
+void put_u64(std::string& out, std::uint64_t v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
+void put_f64(std::string& out, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  put_u64(out, bits);
+}
+
+/// True when `points` is a well-formed configuration curve of a task whose
+/// software-only cycle count is `base_cycles`.
+bool curve_invariants_hold(const std::vector<select::Config>& points,
+                           double base_cycles) {
+  if (points.empty() || points.front().area != 0 ||
+      points.front().cycles != base_cycles)
+    return false;
+  for (std::size_t i = 1; i < points.size(); ++i)
+    if (!(points[i].area >= points[i - 1].area) ||
+        !(points[i].cycles < points[i - 1].cycles))
+      return false;
   return true;
 }
 
-void ResultCache::evict_lru() {
-  auto& [key, entry] = lru_.back();
-  bytes_ -= entry.result_json.size();
-  map_.erase(key);
-  lru_.pop_back();
-  ++evictions_;
-  ISEX_COUNT("serve.cache.evictions");
+}  // namespace
+
+std::string curve_key(const ir::Program& prog,
+                      const std::vector<std::int64_t>& counts,
+                      const hw::CellLibrary& lib,
+                      const select::CurveOptions& opts) {
+  std::string k = "isex.serve.curve.v1";
+  put_u64(k, counts.size());
+  for (const std::int64_t c : counts) put_u64(k, static_cast<std::uint64_t>(c));
+  put_u64(k, static_cast<std::uint64_t>(prog.num_blocks()));
+  for (const ir::BasicBlock& block : prog.blocks()) {
+    const ir::Dfg& dfg = block.dfg;
+    put_u64(k, static_cast<std::uint64_t>(dfg.num_nodes()));
+    for (const ir::Node& n : dfg.nodes()) {
+      put_u64(k, static_cast<std::uint64_t>(n.op) |
+                     (static_cast<std::uint64_t>(n.live_out) << 32) |
+                     (static_cast<std::uint64_t>(n.operands.size()) << 40));
+      for (const ir::NodeId o : n.operands)
+        put_u64(k, static_cast<std::uint64_t>(o));
+    }
+  }
+  const ise::EnumOptions& e = opts.enum_opts;
+  put_u64(k, static_cast<std::uint64_t>(e.constraints.max_inputs));
+  put_u64(k, static_cast<std::uint64_t>(e.constraints.max_outputs));
+  put_u64(k, static_cast<std::uint64_t>(e.max_candidate_nodes));
+  put_u64(k, static_cast<std::uint64_t>(e.max_candidates));
+  put_f64(k, opts.area_grid);
+  put_u64(k, static_cast<std::uint64_t>(opts.max_hot_blocks));
+  put_u64(k, static_cast<std::uint64_t>(opts.max_points));
+  put_u64(k, (opts.share_isomorphic ? 1u : 0u) |
+                 (opts.disconnected_pairs ? 2u : 0u));
+  for (int i = 0; i < ir::kNumOpcodes; ++i) {
+    const hw::OpCost& c = lib.cost(static_cast<ir::Opcode>(i));
+    put_f64(k, c.sw_cycles);
+    put_f64(k, c.hw_latency_ns);
+    put_f64(k, c.area);
+  }
+  put_f64(k, lib.clock_period_ns());
+  put_u64(k, static_cast<std::uint64_t>(lib.issue_overhead_cycles()));
+  put_f64(k, lib.area_overhead_factor());
+  return k;
+}
+
+const std::vector<select::Config>* CurveCache::reuse(std::uint64_t hash,
+                                                     const std::string& key,
+                                                     double base_cycles,
+                                                     robust::Budget& budget) {
+  const Entry* e = lru_.find(hash);
+  if (e != nullptr && e->key == key &&
+      !curve_invariants_hold(e->points, base_cycles)) {
+    lru_.erase(hash);
+    ++poisoned_;
+    ISEX_COUNT("serve.curve_cache.poisoned");
+    e = nullptr;
+  }
+  if (e == nullptr || e->key != key) {
+    ++misses_;
+    ISEX_COUNT("serve.curve_cache.misses");
+    return nullptr;
+  }
+  const robust::BudgetReport r = budget.report();
+  const bool nodes_fit = r.node_budget < 0 ||
+                         r.nodes_charged + e->nodes_charged <= r.node_budget;
+  const bool mem_fits =
+      r.mem_budget_bytes == 0 ||
+      budget.mem_current() + e->mem_peak_bytes <= r.mem_budget_bytes;
+  if (!nodes_fit || !mem_fits || budget.exhausted()) {
+    ++replay_refused_;
+    ISEX_COUNT("serve.curve_cache.replay_refused");
+    return nullptr;
+  }
+  if (e->nodes_charged > 0) budget.charge(e->nodes_charged);
+  if (e->mem_peak_bytes > 0) {
+    budget.charge_mem(e->mem_peak_bytes);
+    budget.release_mem(e->mem_peak_bytes);
+  }
+  ++hits_;
+  ISEX_COUNT("serve.curve_cache.hits");
+  return &e->points;
+}
+
+void CurveCache::insert(std::uint64_t hash, Entry entry) {
+  const std::size_t evicted = lru_.insert(hash, std::move(entry));
+  evictions_ += evicted;
+  if (evicted > 0) ISEX_COUNT_ADD("serve.curve_cache.evictions", evicted);
+  ISEX_GAUGE_SET("serve.curve_cache.entries", lru_.size());
+  ISEX_GAUGE_SET("serve.curve_cache.bytes", lru_.bytes());
 }
 
 }  // namespace isex::serve

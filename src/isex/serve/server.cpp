@@ -68,25 +68,49 @@ bool known_benchmark(const std::string& name) {
 
 /// Lifts an inline DFG into a configuration curve through the same
 /// identification pipeline the benchmark tasks use, under the request budget
-/// (enumeration truncates gracefully to fewer candidates).
-rt::Task task_from_dfg(const TaskSpec& spec, robust::Budget* budget) {
+/// (enumeration truncates gracefully to fewer candidates). With a memo, a
+/// DFG identified before reuses its curve and replays the build's recorded
+/// cost into `budget` (CurveCache::reuse); a build the budget did not cut
+/// is stored for later requests.
+rt::Task task_from_dfg(const TaskSpec& spec, robust::Budget* budget,
+                       CurveCache* memo) {
   const hw::CellLibrary& lib = hw::CellLibrary::standard_018um();
   const auto cost =
       ir::Program::sum_cost([&lib](const ir::Node& n) { return lib.sw_cycles(n); });
+  const std::vector<std::int64_t> counts = spec.program.wcet_counts(cost);
   select::CurveOptions copts;
-  copts.enum_opts.budget = budget;
   copts.enum_opts.max_candidates = 20000;  // inline DFGs are small (<= 256 ops)
   rt::Task t;
   t.name = spec.name;
   t.period = spec.period;
+  std::string key;
+  std::uint64_t hash = 0;
+  if (memo != nullptr) {
+    key = curve_key(spec.program, counts, lib, copts);
+    hash = fnv1a(key.data(), key.size());
+    if (const auto* points =
+            memo->reuse(hash, key, select::base_cycles(spec.program, counts, lib),
+                        *budget)) {
+      t.configs = *points;
+      return t;
+    }
+  }
+  copts.enum_opts.budget = budget;
+  const long nodes_before = budget->report().nodes_charged;
+  const robust::Budget::MemPhase phase = budget->begin_mem_phase();
   t.configs =
-      select::build_config_curve(spec.program, spec.program.wcet_counts(cost),
-                                 lib, copts)
-          .points;
+      select::build_config_curve(spec.program, counts, lib, copts).points;
+  const std::size_t mem_peak = budget->end_mem_phase(phase);
+  const robust::BudgetReport after = budget->report();
+  if (memo != nullptr && !after.exhausted())
+    memo->insert(hash, CurveCache::Entry{std::move(key), t.configs,
+                                         after.nodes_charged - nodes_before,
+                                         mem_peak});
   return t;
 }
 
-BuiltTaskSet build_taskset(const Request& req, robust::Budget* budget) {
+BuiltTaskSet build_taskset(const Request& req, robust::Budget* budget,
+                           CurveCache* memo) {
   BuiltTaskSet out;
   if (!req.benchmarks.empty()) {
     for (const std::string& name : req.benchmarks) {
@@ -99,7 +123,7 @@ BuiltTaskSet build_taskset(const Request& req, robust::Budget* budget) {
   } else {
     for (const TaskSpec& spec : req.tasks) {
       if (spec.has_dfg) {
-        out.ts.tasks.push_back(task_from_dfg(spec, budget));
+        out.ts.tasks.push_back(task_from_dfg(spec, budget, memo));
       } else {
         out.ts.tasks.push_back(rt::Task{spec.name, spec.period, spec.configs});
       }
@@ -157,7 +181,8 @@ int consume_pending_signal() {
   return g_pending_signal.exchange(0, std::memory_order_relaxed);
 }
 
-Server::Server(const ServerOptions& opts) : opts_(opts), cache_(opts.cache) {}
+Server::Server(const ServerOptions& opts)
+    : opts_(opts), cache_(opts.cache), curves_(opts.cache) {}
 
 // Out-of-line so the unique_ptr<WorkerPool> deleter sees the complete type;
 // the pool's destructor SIGTERMs and reaps any workers still alive.
@@ -210,6 +235,13 @@ std::string Server::render_stats(const std::string& id, int queue_depth) const {
   r += ",\"misses\":" + std::to_string(cache_.misses());
   r += ",\"evictions\":" + std::to_string(cache_.evictions());
   r += ",\"poisoned\":" + std::to_string(cache_.poisoned()) + "}";
+  r += ",\"curve_cache\":{\"entries\":" + std::to_string(curves_.entries());
+  r += ",\"bytes\":" + std::to_string(curves_.bytes());
+  r += ",\"hits\":" + std::to_string(curves_.hits());
+  r += ",\"misses\":" + std::to_string(curves_.misses());
+  r += ",\"evictions\":" + std::to_string(curves_.evictions());
+  r += ",\"poisoned\":" + std::to_string(curves_.poisoned());
+  r += ",\"replay_refused\":" + std::to_string(curves_.replay_refused()) + "}";
   // Worker-pool counters are always present (all zero with --workers 0) so
   // dashboards never branch on field existence.
   r += ",\"workers\":{\"configured\":" + std::to_string(opts_.workers);
@@ -309,8 +341,11 @@ std::string Server::handle_select(const Request& req, int queue_depth,
   if (mem_budget > 0) budget.set_mem_budget(mem_budget);
   if (time_budget > 0) budget.set_time_budget(time_budget);
 
+  // Paranoid requests identify cold, bypassing the curve memo.
+  const bool paranoid = opts_.paranoid || req.paranoid;
   const std::int64_t build_t0 = obs::clock_ns();
-  BuiltTaskSet built = build_taskset(req, &budget);
+  BuiltTaskSet built =
+      build_taskset(req, &budget, paranoid ? nullptr : &curves_);
   ISEX_JOURNAL(kSolve, kBuild, obs::clock_ns() - build_t0,
                built.ts.tasks.size(), built.ok ? 0 : 1);
   if (!built.ok) {
@@ -331,7 +366,6 @@ std::string Server::handle_select(const Request& req, int queue_depth,
     ISEX_JOURNAL(kShed, kSolve, 0, shed_rung, queue_depth);
   }
 
-  const bool paranoid = opts_.paranoid || req.paranoid;
   const std::uint64_t key =
       select_cache_key(ts, area_budget, req.policy, time_budget, node_budget,
                        mem_budget, paranoid, shed_rung);

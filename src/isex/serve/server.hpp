@@ -30,7 +30,9 @@
 // catch-all that turns any escape into an "internal" error response — the
 // loop itself never unwinds. Cached results are re-certified against a
 // freshly built task set before reuse, so shared state (the cache) can only
-// ever serve answers that check out now (see cache.hpp).
+// ever serve answers that check out now. Inline DFGs are identified once per
+// server: the curve memo reuses a curve whose build the budget did not cut
+// and replays that build's node and memory charges (see cache.hpp).
 //
 // Shutdown: SIGTERM/SIGINT (install_signal_handlers) finishes the in-flight
 // solve, answers every queued request with "shutting_down", flushes, and
@@ -68,7 +70,7 @@ struct ServerOptions {
   double default_time_budget_seconds = 2.0;
   long default_node_budget = 2'000'000;
   std::size_t default_mem_budget_bytes = std::size_t{256} << 20;
-  CacheOptions cache;
+  CacheOptions cache;  // bounds each memo: results and inline-DFG curves
   bool paranoid = false;  // exhaustive certification on every request
   /// Periodic introspection flush: every stats_interval_seconds the run()
   /// loop writes the introspect JSON to stats_path via the atomic
@@ -182,6 +184,7 @@ class Server {
 
   const ServerStats& stats() const { return stats_; }
   const ResultCache& cache() const { return cache_; }
+  const CurveCache& curve_cache() const { return curves_; }
   const ServerOptions& options() const { return opts_; }
 
   /// Live worker pids (empty when workers == 0 or the pool has not started).
@@ -248,6 +251,7 @@ class Server {
 
   ServerOptions opts_;
   ResultCache cache_;
+  CurveCache curves_;  // inline-DFG curves, shared across requests
   ServerStats stats_;
   double ewma_service_ms_ = 5.0;
 

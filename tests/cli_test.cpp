@@ -14,6 +14,7 @@
 
 #include "isex/cli/driver.hpp"
 #include "isex/obs/metrics.hpp"
+#include "isex/robust/budget.hpp"
 #include "isex/workloads/tasks.hpp"
 #include "isex/workloads/workloads.hpp"
 
@@ -139,6 +140,30 @@ TEST(Cli, CertifyIdentifiesEachBlockOnceOnAWarmTaskMemo) {
   EXPECT_EQ(calls.get() - before,
             static_cast<std::uint64_t>(
                 workloads::make_benchmark("crc32").num_blocks()));
+}
+
+TEST(Cli, CertifyRmsStageStopsWithinOneStrideOfACancel) {
+#if !ISEX_OBS_ENABLED
+  GTEST_SKIP() << "counts RMS search nodes through obs counters";
+#endif
+  // A pending SIGTERM/SIGINT cancel must stop the RMS witness search at its
+  // next time-check stride instead of running to the 500000-node cap.
+  const std::vector<std::string> args = {"certify", "crc32", "edn", "lms",
+                                         "fft", "basicmath"};
+  auto& nodes = obs::Registry::global().counter("customize.rms.nodes");
+  const auto n0 = nodes.get();
+  ASSERT_EQ(run_quiet(args), 0);
+  const auto uncancelled = nodes.get() - n0;
+  ASSERT_GT(uncancelled,
+            static_cast<std::uint64_t>(robust::Budget::kTimeCheckStride));
+
+  robust::request_global_cancel();
+  const auto n1 = nodes.get();
+  run_quiet(args);
+  const auto cancelled = nodes.get() - n1;
+  robust::clear_global_cancel();
+  EXPECT_LE(cancelled,
+            static_cast<std::uint64_t>(robust::Budget::kTimeCheckStride));
 }
 
 TEST(Cli, ParanoidSelectCertifiesCleanOnGenuineOutput) {

@@ -5,6 +5,8 @@
 // rejection, and graceful signal drain over a unix socket.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <csignal>
 #include <cstring>
 #include <string>
@@ -20,6 +22,7 @@
 #include "isex/serve/json.hpp"
 #include "isex/serve/protocol.hpp"
 #include "isex/serve/server.hpp"
+#include "isex/util/rng.hpp"
 
 namespace isex::serve {
 namespace {
@@ -200,6 +203,146 @@ TEST(ServeCache, LruEvictionAndPoison) {
   EXPECT_EQ(cache.poisoned(), 1u);
 }
 
+select::Config cfg(double area, double cycles) { return {area, cycles}; }
+
+CurveCache::Entry curve_entry(std::string key,
+                              std::vector<select::Config> points,
+                              long nodes = 0) {
+  return CurveCache::Entry{std::move(key), std::move(points), nodes, 0};
+}
+
+TEST(ServeCurveCache, LruBoundAndByteAccounting) {
+  CacheOptions co;
+  co.max_entries = 2;
+  CurveCache memo(co);
+  const auto a = curve_entry("a", {cfg(0, 90), cfg(1, 60)});
+  const auto b = curve_entry("bb", {cfg(0, 90)});
+  const auto c = curve_entry("ccc", {cfg(0, 90), cfg(2, 50), cfg(3, 40)});
+  memo.insert(1, a);
+  memo.insert(2, b);
+  EXPECT_EQ(memo.bytes(), a.bytes() + b.bytes());
+  robust::Budget budget;
+  EXPECT_NE(memo.reuse(1, "a", 90, budget), nullptr);  // 2 becomes LRU
+  memo.insert(3, c);
+  EXPECT_EQ(memo.entries(), 2u);
+  EXPECT_EQ(memo.evictions(), 1u);
+  EXPECT_EQ(memo.bytes(), a.bytes() + c.bytes());
+  EXPECT_EQ(memo.reuse(2, "bb", 90, budget), nullptr);  // evicted
+  EXPECT_EQ(a.bytes(), 1 + 2 * sizeof(select::Config));
+
+  // The byte bound evicts too, but always keeps the newest entry.
+  co.max_entries = 100;
+  co.max_bytes = a.bytes() + b.bytes();
+  CurveCache small(co);
+  small.insert(1, a);
+  small.insert(2, b);
+  EXPECT_EQ(small.evictions(), 0u);
+  small.insert(3, c);
+  EXPECT_EQ(small.entries(), 1u);
+  EXPECT_EQ(small.bytes(), c.bytes());
+}
+
+TEST(ServeCurveCache, CorruptedPointsArePoisonedAndRebuilt) {
+  CurveCache memo{CacheOptions{}};
+  robust::Budget budget;
+  // Each breaks one invariant: nonzero first area, wrong software cycles,
+  // descending area, non-descending cycles, NaN.
+  const std::vector<std::vector<select::Config>> corrupt = {
+      {cfg(1, 100), cfg(2, 50)},
+      {cfg(0, 99), cfg(2, 50)},
+      {cfg(0, 100), cfg(3, 60), cfg(2, 50)},
+      {cfg(0, 100), cfg(2, 50), cfg(3, 50)},
+      {cfg(0, 100), cfg(std::nan(""), 50)},
+  };
+  for (std::size_t i = 0; i < corrupt.size(); ++i) {
+    memo.insert(5, curve_entry("k", corrupt[i], 10));
+    EXPECT_EQ(memo.reuse(5, "k", 100, budget), nullptr) << i;
+    EXPECT_EQ(memo.poisoned(), i + 1);
+    EXPECT_EQ(memo.entries(), 0u);
+  }
+  EXPECT_EQ(memo.misses(), corrupt.size());
+  EXPECT_EQ(budget.report().nodes_charged, 0);  // nothing replayed
+
+  // The rebuilt curve is stored again and served, with its cost replayed.
+  memo.insert(5, curve_entry("k", {cfg(0, 100), cfg(2, 50)}, 10));
+  const auto* points = memo.reuse(5, "k", 100, budget);
+  ASSERT_NE(points, nullptr);
+  EXPECT_EQ(points->size(), 2u);
+  EXPECT_EQ(memo.hits(), 1u);
+  EXPECT_EQ(budget.report().nodes_charged, 10);
+}
+
+TEST(ServeCurveCache, DistinctKeysOnOneHashBucketStayCorrect) {
+  // Two different DFGs forced onto one hash: the full key bytes decide.
+  auto program = [](ir::Opcode op) {
+    ir::Program prog("p");
+    const int b = prog.add_block("b0");
+    ir::Dfg& dfg = prog.block(b).dfg;
+    const auto x = dfg.add(ir::Opcode::kInput);
+    const auto y = dfg.add(ir::Opcode::kInput);
+    dfg.mark_live_out(dfg.add(op, {x, y}));
+    prog.set_root(prog.stmt_block(b));
+    return prog;
+  };
+  const auto& lib = hw::CellLibrary::standard_018um();
+  const select::CurveOptions co;
+  const std::string ka = curve_key(program(ir::Opcode::kAdd), {1}, lib, co);
+  const std::string kx = curve_key(program(ir::Opcode::kXor), {1}, lib, co);
+  ASSERT_NE(ka, kx);
+  EXPECT_EQ(ka, curve_key(program(ir::Opcode::kAdd), {1}, lib, co));
+  EXPECT_NE(ka, curve_key(program(ir::Opcode::kAdd), {2}, lib, co));
+  select::CurveOptions capped = co;
+  capped.enum_opts.max_candidates = 20000;
+  EXPECT_NE(ka, curve_key(program(ir::Opcode::kAdd), {1}, lib, capped));
+
+  CurveCache memo{CacheOptions{}};
+  robust::Budget budget;
+  memo.insert(42, curve_entry(ka, {cfg(0, 3), cfg(1, 2)}));
+  EXPECT_EQ(memo.reuse(42, kx, 3, budget), nullptr);  // collision: a miss
+  memo.insert(42, curve_entry(kx, {cfg(0, 3), cfg(2, 1)}));
+  const auto* x = memo.reuse(42, kx, 3, budget);
+  ASSERT_NE(x, nullptr);
+  EXPECT_EQ(x->back().area, 2);
+  EXPECT_EQ(memo.reuse(42, ka, 3, budget), nullptr);  // replaced, not mixed
+  memo.insert(42, curve_entry(ka, {cfg(0, 3), cfg(1, 2)}));
+  const auto* a = memo.reuse(42, ka, 3, budget);
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->back().area, 1);
+  EXPECT_EQ(memo.hits(), 2u);
+  EXPECT_EQ(memo.misses(), 2u);
+  EXPECT_EQ(memo.poisoned(), 0u);
+}
+
+TEST(ServeCurveCache, ReplayRefusedWhenTheBudgetCannotTakeIt) {
+  CurveCache memo{CacheOptions{}};
+  CurveCache::Entry e = curve_entry("k", {cfg(0, 100), cfg(2, 50)}, 150);
+  e.mem_peak_bytes = 4096;
+  memo.insert(1, e);
+
+  robust::Budget nodes;
+  nodes.set_node_budget(100);
+  EXPECT_EQ(memo.reuse(1, "k", 100, nodes), nullptr);
+  robust::Budget mem;
+  mem.set_mem_budget(4000);
+  EXPECT_EQ(memo.reuse(1, "k", 100, mem), nullptr);
+  EXPECT_EQ(memo.replay_refused(), 2u);
+  EXPECT_FALSE(nodes.report().exhausted());  // nothing charged or refused
+  EXPECT_EQ(nodes.report().nodes_charged, 0);
+  EXPECT_FALSE(mem.report().mem_exhausted);
+
+  // Exactly enough room: the replay charges the nodes and the memory peak.
+  robust::Budget fits;
+  fits.set_node_budget(150);
+  fits.set_mem_budget(4096);
+  ASSERT_NE(memo.reuse(1, "k", 100, fits), nullptr);
+  const robust::BudgetReport r = fits.report();
+  EXPECT_EQ(r.nodes_charged, 150);
+  EXPECT_EQ(r.mem_peak_bytes, 4096u);
+  EXPECT_FALSE(r.exhausted());
+  EXPECT_EQ(fits.mem_current(), 0u);
+  EXPECT_EQ(memo.hits(), 1u);
+}
+
 // --- server: in-process handle_line ------------------------------------------
 
 // Inline-task selects keep these tests independent of the benchmark curve
@@ -294,6 +437,184 @@ TEST(ServeServer, ExtremeAreasAnswerWithoutOversizingTheDp) {
       "{\"name\":\"t1\",\"period\":1000,\"configs\":[[0,500],[3,100]]}]}");
   EXPECT_NE(wide.find("\"ok\":true"), std::string::npos) << wide;
   EXPECT_NE(wide.find("\"status\":\"Exact\""), std::string::npos) << wide;
+}
+
+// --- server: the inline-DFG curve memo --------------------------------------
+
+/// A seeded random single-block DFG as an inline "dfg" array: four live-ins,
+/// then `ops` CI-valid operations over nearby earlier values.
+std::string random_dfg(std::uint64_t seed, int ops) {
+  static const char* const kOps[] = {"add", "sub", "mul", "and", "or",
+                                     "xor", "shl", "shr", "not"};
+  util::Rng rng(seed);
+  std::string s = "[";
+  const int inputs = 4;
+  for (int i = 0; i < inputs; ++i) s += "{\"op\":\"input\"},";
+  for (int i = inputs; i < inputs + ops; ++i) {
+    const std::string op = kOps[rng.uniform_int(0, 8)];
+    const int arity = op == "not" ? 1 : 2;
+    s += "{\"op\":\"" + op + "\",\"in\":[";
+    for (int k = 0; k < arity; ++k)
+      s += (k ? "," : "") +
+           std::to_string(rng.uniform_int(std::max(0, i - 6), i - 1));
+    s += i + 1 < inputs + ops ? "]}," : "]}";
+  }
+  return s + "]";
+}
+
+/// A select over inline DFG tasks (one per entry of `dfgs`).
+std::string dfg_select(const std::string& id,
+                       const std::vector<std::string>& dfgs,
+                       const std::vector<double>& periods, const char* policy,
+                       double budget_fraction, long node_budget) {
+  std::string r = "{\"id\":\"" + id + "\",\"cmd\":\"select\",\"policy\":\"" +
+                  policy + "\",\"budget_fraction\":" +
+                  json_number(budget_fraction) +
+                  ",\"node_budget\":" + std::to_string(node_budget) +
+                  ",\"tasks\":[";
+  for (std::size_t t = 0; t < dfgs.size(); ++t)
+    r += (t ? "," : "") + std::string("{\"name\":\"t") + std::to_string(t) +
+         "\",\"period\":" + json_number(periods[t]) + ",\"dfg\":" + dfgs[t] +
+         "}";
+  return r + "]}";
+}
+
+/// The response without the fields that legitimately differ between a
+/// long-lived server and a fresh one: rid, cache flag, queue depth, time.
+std::string strip_volatile(std::string s) {
+  for (const char* field :
+       {"\"rid\":", "\"cache\":", "\"queue_depth\":", "\"elapsed_ms\":"}) {
+    const std::size_t p = s.find(field);
+    if (p == std::string::npos) continue;
+    s.erase(p, s.find(',', p) - p + 1);
+  }
+  return s;
+}
+
+/// No wall-clock limit, so only deterministic budgets shape the answers.
+ServerOptions untimed() {
+  ServerOptions so;
+  so.default_time_budget_seconds = 0;
+  return so;
+}
+
+/// The `curve_cache` object of the server's `stats` response.
+Json curve_cache_stats(Server& server) {
+  JsonParseResult pr =
+      json_parse(server.handle_line("{\"id\":\"s\",\"cmd\":\"stats\"}"));
+  EXPECT_TRUE(pr.ok()) << pr.error;
+  const Json* result = pr.value.find("result");
+  const Json* cc = result ? result->find("curve_cache") : nullptr;
+  EXPECT_NE(cc, nullptr);
+  return cc ? *cc : Json{};
+}
+
+double stat(const Json& j, const char* name) {
+  const Json* v = j.find(name);
+  EXPECT_NE(v, nullptr) << name;
+  return v ? v->as_number() : -1;
+}
+
+TEST(ServeCurveMemo, ResponsesEqualAFreshServerPerRequest) {
+  // A stream reusing four DFGs under varied periods, policies, area shares
+  // and node budgets (20000 and 3000 truncate identification): each answer
+  // from one long-lived server equals a fresh server's, `nodes` included.
+  const std::vector<std::string> dfgs = {random_dfg(1, 30), random_dfg(2, 60),
+                                         random_dfg(3, 45), random_dfg(4, 80)};
+  const long node_budgets[] = {2'000'000, 20'000, 3'000};
+  const char* const policies[] = {"edf", "rms"};
+  const double fractions[] = {0.1, 0.3, 0.6};
+  util::Rng rng(19);
+  Server shared{untimed()};
+  int exact = 0, truncated = 0;
+  for (int i = 0; i < 30; ++i) {
+    const int ntasks = i % 3 == 2 ? 2 : 1;
+    std::vector<std::string> task_dfgs;
+    std::vector<double> periods;
+    for (int t = 0; t < ntasks; ++t) {
+      task_dfgs.push_back(dfgs[static_cast<std::size_t>(rng.uniform_int(0, 3))]);
+      periods.push_back(rng.uniform_int(20, 400));
+    }
+    const std::string req = dfg_select(
+        "d" + std::to_string(i), task_dfgs, periods, policies[rng.uniform_int(0, 1)],
+        fractions[rng.uniform_int(0, 2)], node_budgets[rng.uniform_int(0, 2)]);
+    const std::string got = shared.handle_line(req);
+    Server fresh{untimed()};
+    const std::string want = fresh.handle_line(req);
+    ASSERT_NE(got.find("\"ok\":true"), std::string::npos) << got;
+    EXPECT_EQ(strip_volatile(got), strip_volatile(want)) << req;
+    (got.find("\"status\":\"Exact\"") != std::string::npos ? exact : truncated)++;
+  }
+  EXPECT_GT(exact, 0);
+  EXPECT_GT(truncated, 0);
+  const Json cc = curve_cache_stats(shared);
+  EXPECT_GT(stat(cc, "hits"), 0);
+  EXPECT_GT(stat(cc, "replay_refused"), 0);
+  EXPECT_EQ(stat(cc, "poisoned"), 0);
+}
+
+TEST(ServeCurveMemo, EachDfgIsIdentifiedOncePerServer) {
+  const std::string dfg = random_dfg(7, 40);
+  const char* const policies[] = {"edf", "rms"};
+  auto request = [&](int i) {
+    return dfg_select("r" + std::to_string(i), {dfg}, {100.0 + 10 * i},
+                      policies[i % 2], 0.2 + 0.1 * i, 2'000'000);
+  };
+#if ISEX_OBS_ENABLED
+  auto& calls = obs::Registry::global().counter("ise.enum.calls");
+  const auto calls0 = calls.get();
+#endif
+  constexpr int kRequests = 5;
+  Server server{untimed()};
+  for (int i = 0; i < kRequests; ++i)
+    ASSERT_NE(server.handle_line(request(i)).find("\"ok\":true"),
+              std::string::npos);
+  const Json cc = curve_cache_stats(server);
+  EXPECT_EQ(stat(cc, "misses"), 1);
+  EXPECT_EQ(stat(cc, "hits"), kRequests - 1);
+  EXPECT_EQ(stat(cc, "entries"), 1);
+  EXPECT_GT(stat(cc, "bytes"), 0);
+  EXPECT_EQ(stat(cc, "replay_refused"), 0);
+#if ISEX_OBS_ENABLED
+  EXPECT_EQ(calls.get() - calls0, 1u);  // one connected enumeration
+#endif
+
+  // The memo belongs to one Server: a new one starts cold.
+  Server other{untimed()};
+  ASSERT_NE(other.handle_line(request(0)).find("\"ok\":true"),
+            std::string::npos);
+  EXPECT_EQ(stat(curve_cache_stats(other), "misses"), 1);
+#if ISEX_OBS_ENABLED
+  EXPECT_EQ(calls.get() - calls0, 2u);
+#endif
+
+  // A paranoid request bypasses the memo and identifies cold.
+  const std::string paranoid = request(1).insert(1, "\"paranoid\":true,");
+  ASSERT_NE(server.handle_line(paranoid).find("\"ok\":true"),
+            std::string::npos);
+  EXPECT_EQ(stat(curve_cache_stats(server), "hits"), kRequests - 1);
+#if ISEX_OBS_ENABLED
+  EXPECT_EQ(calls.get() - calls0, 3u);
+#endif
+}
+
+TEST(ServeCurveMemo, ReplayRefusedRebuildsColdAndTruncates) {
+  // The stored build charged more nodes than the later request allows, so
+  // the memo must not answer it: identification truncates as it would cold.
+  const std::string dfg = random_dfg(11, 80);
+  Server server{untimed()};
+  const std::string full =
+      server.handle_line(dfg_select("a", {dfg}, {300}, "edf", 0.5, 2'000'000));
+  ASSERT_NE(full.find("\"status\":\"Exact\""), std::string::npos) << full;
+  const std::string starved = dfg_select("b", {dfg}, {300}, "edf", 0.5, 3'000);
+  const std::string got = server.handle_line(starved);
+  Server fresh{untimed()};
+  EXPECT_EQ(strip_volatile(got), strip_volatile(fresh.handle_line(starved)));
+  EXPECT_EQ(got.find("\"status\":\"Exact\""), std::string::npos) << got;
+  const Json cc = curve_cache_stats(server);
+  EXPECT_EQ(stat(cc, "replay_refused"), 1);
+  EXPECT_EQ(stat(cc, "hits"), 0);
+  EXPECT_EQ(stat(cc, "entries"), 1);  // the full curve stays stored
 }
 
 // --- server: pipe-driven integration ----------------------------------------
