@@ -78,11 +78,14 @@ ScheduledBlock lower(const ir::Dfg& dfg,
 }
 
 bool jointly_schedulable(const ir::Dfg& dfg,
-                         const std::vector<util::Bitset>& cis) {
-  // Contract each CI (and each loose op) and look for a cycle: the same
-  // machinery as lower(), without materializing the schedule.
+                         const std::vector<util::Bitset>& cis,
+                         ScheduleScratch& scratch) {
+  // Contract each CI (and each loose op) and look for a cycle: lower()'s
+  // Kahn sort without the schedule, and without the contracted edge lists —
+  // releasing a supernode walks its members' consumers in the Dfg.
   const auto n = static_cast<std::size_t>(dfg.num_nodes());
-  std::vector<int> super(n, -1);
+  std::vector<int>& super = scratch.super;
+  super.assign(n, -1);
   for (std::size_t c = 0; c < cis.size(); ++c) {
     bool overlap = false;
     cis[c].for_each([&](std::size_t v) {
@@ -91,46 +94,65 @@ bool jointly_schedulable(const ir::Dfg& dfg,
     });
     if (overlap) return false;
   }
-  int num_super = static_cast<int>(cis.size());
+  const int num_cis = static_cast<int>(cis.size());
+  scratch.loose.clear();
   for (std::size_t v = 0; v < n; ++v) {
     const auto op = dfg.node(static_cast<int>(v)).op;
     if (super[v] >= 0 || op == ir::Opcode::kInput || op == ir::Opcode::kConst)
       continue;
-    super[v] = num_super++;
+    super[v] = num_cis + static_cast<int>(scratch.loose.size());
+    scratch.loose.push_back(static_cast<int>(v));
   }
-  std::vector<std::vector<int>> succ(static_cast<std::size_t>(num_super));
-  std::vector<int> indegree(static_cast<std::size_t>(num_super), 0);
+  const auto num_super =
+      static_cast<std::size_t>(num_cis) + scratch.loose.size();
+  std::vector<int>& indegree = scratch.indegree;
+  indegree.assign(num_super, 0);
   for (std::size_t v = 0; v < n; ++v) {
     const int sv = super[v];
     if (sv < 0) continue;
-    for (ir::NodeId o : dfg.node(static_cast<int>(v)).operands) {
+    for (std::int32_t o : dfg.operands_of(static_cast<int>(v))) {
       const int so = super[static_cast<std::size_t>(o)];
-      if (so < 0 || so == sv) continue;
-      succ[static_cast<std::size_t>(so)].push_back(sv);
-      ++indegree[static_cast<std::size_t>(sv)];
+      if (so >= 0 && so != sv) ++indegree[static_cast<std::size_t>(sv)];
     }
   }
-  std::queue<int> ready;
-  for (int s = 0; s < num_super; ++s)
-    if (indegree[static_cast<std::size_t>(s)] == 0) ready.push(s);
-  int seen = 0;
-  while (!ready.empty()) {
-    const int s = ready.front();
-    ready.pop();
-    ++seen;
-    for (int t : succ[static_cast<std::size_t>(s)])
-      if (--indegree[static_cast<std::size_t>(t)] == 0) ready.push(t);
+  std::vector<int>& order = scratch.order;  // the Kahn queue, never popped
+  order.clear();
+  for (std::size_t s = 0; s < num_super; ++s)
+    if (indegree[s] == 0) order.push_back(static_cast<int>(s));
+  auto release = [&](std::size_t v, int s) {
+    for (std::int32_t t : dfg.consumers_of(static_cast<int>(v))) {
+      const int st = super[static_cast<std::size_t>(t)];
+      if (st >= 0 && st != s && --indegree[static_cast<std::size_t>(st)] == 0)
+        order.push_back(st);
+    }
+  };
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const int s = order[head];
+    if (s < num_cis)
+      cis[static_cast<std::size_t>(s)].for_each(
+          [&](std::size_t v) { release(v, s); });
+    else
+      release(static_cast<std::size_t>(
+                  scratch.loose[static_cast<std::size_t>(s - num_cis)]),
+              s);
   }
-  return seen == num_super;
+  return order.size() == num_super;
+}
+
+bool jointly_schedulable(const ir::Dfg& dfg,
+                         const std::vector<util::Bitset>& cis) {
+  ScheduleScratch scratch;
+  return jointly_schedulable(dfg, cis, scratch);
 }
 
 std::vector<std::size_t> schedulable_subset(
     const ir::Dfg& dfg, const std::vector<util::Bitset>& cis) {
   std::vector<std::size_t> kept;
   std::vector<util::Bitset> accepted;
+  ScheduleScratch scratch;
   for (std::size_t i = 0; i < cis.size(); ++i) {
     accepted.push_back(cis[i]);
-    if (jointly_schedulable(dfg, accepted)) {
+    if (jointly_schedulable(dfg, accepted, scratch)) {
       kept.push_back(i);
     } else {
       accepted.pop_back();

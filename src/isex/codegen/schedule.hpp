@@ -45,10 +45,22 @@ std::vector<std::int64_t> execute(const ir::Dfg& dfg,
                                   const ScheduledBlock& block,
                                   const std::vector<std::int64_t>& inputs);
 
+/// Buffers jointly_schedulable() works in. A caller that tests many CI sets
+/// keeps one, and once it is warm a test allocates nothing.
+struct ScheduleScratch {
+  std::vector<int> super;     // supernode of each node, -1 for leaves
+  std::vector<int> loose;     // the node of each loose-op supernode
+  std::vector<int> indegree;  // unreleased in-edges of each supernode
+  std::vector<int> order;     // supernodes released so far, in order
+};
+
 /// True iff the (disjoint, individually convex) CIs admit a joint atomic
 /// schedule. Pairwise convexity is NOT sufficient: two convex CIs with
 /// interleaved dependencies form a cycle in the contracted graph — the
 /// "unschedulable code" hazard Section 2.3.2 of the thesis warns about.
+bool jointly_schedulable(const ir::Dfg& dfg,
+                         const std::vector<util::Bitset>& cis,
+                         ScheduleScratch& scratch);
 bool jointly_schedulable(const ir::Dfg& dfg,
                          const std::vector<util::Bitset>& cis);
 

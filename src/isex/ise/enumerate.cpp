@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <iterator>
 #include <span>
+#include <unordered_set>
 
 #include "isex/obs/trace.hpp"
-#include "isex/util/bitset_set.hpp"
 
 namespace isex::ise {
 
@@ -120,7 +120,6 @@ struct GrowFrame {
   util::Bitset s;     // current subgraph: the members path[0..depth]
   util::Bitset anc;   // union of ancestors(v) over v in s
   util::Bitset desc;  // union of descendants(v) over v in s
-  std::uint64_t key = 0;      // Zobrist hash of s (util::BitsetSet)
   std::vector<int> frontier;  // sorted valid neighbours of s with id > seed
 };
 
@@ -132,8 +131,7 @@ struct GrowCtx {
   int block;
   double exec_freq;
   long budget;  // remaining grow-call allowance (max_candidates countdown)
-  util::BitsetSet visited;
-  robust::MemCharge mem;  // the visited entries charged to opts.budget
+  robust::MemCharge mem;  // the emitted candidates charged to opts.budget
   std::vector<Candidate> out = {};
   bool truncated = false;  // set once opts.budget stops the search
   // Search statistics, published to the obs registry once per enumeration.
@@ -141,6 +139,8 @@ struct GrowCtx {
   long rejects[4] = {};  // rejects[r]: grow calls with reject_reason() == r
   std::vector<GrowFrame> frames = {};
   std::vector<int> path = {};  // path[d]: the node frame d added to s
+  util::Bitset excluded = {};  // u such that a frame on the path grew s+u
+  std::vector<int> excluded_log = {};  // excluded's marks, undone per frame
   // reject_reason() scratch: mark[v] == epoch iff input v is counted.
   std::vector<std::uint64_t> mark = {};
   std::uint64_t epoch = 0;
@@ -205,7 +205,10 @@ void build_frontier(GrowCtx& ctx, std::size_t depth, int seed) {
 /// Expands the subgraph in frames[depth] (connected, valid nodes only, all
 /// ids >= seed) by every neighbour with id > seed; emits it if legal. The
 /// frame carries the running ancestor/descendant unions, so the convexity
-/// test is O(words) bitops instead of an O(V) full-graph rescan.
+/// test is O(words) bitops instead of an O(V) full-graph rescan. Once child
+/// s+u returns, u is excluded from its later siblings' subtrees: s+u's
+/// subtree grew their supersets of s+u. So each subgraph is grown once, in
+/// the order of a visited-set search (DESIGN.md, "Identification").
 void grow(GrowCtx& ctx, std::size_t depth, int seed) {
   if (ctx.budget <= 0 || ctx.truncated) return;
   robust::Budget* rbudget = ctx.opts.budget;
@@ -219,37 +222,36 @@ void grow(GrowCtx& ctx, std::size_t depth, int seed) {
   GrowFrame& f = ctx.frames[depth];
   const int r = depth == 0 ? -1 : reject_reason(ctx, depth);
   if (r > 0) ++ctx.rejects[r];
-  if (r == 0)
+  if (r == 0) {
+    if (ctx.mem.charge(subgraph_bytes(dfg))) {
+      ctx.truncated = true;
+      return;
+    }
     ctx.out.push_back(
         make_candidate(dfg, f.s, ctx.lib, ctx.block, ctx.exec_freq));
+  }
   if (depth + 1 >= static_cast<std::size_t>(ctx.opts.max_candidate_nodes))
     return;
 
   build_frontier(ctx, depth, seed);
   GrowFrame& child = ctx.frames[depth + 1];
+  const std::size_t log_mark = ctx.excluded_log.size();
   for (int u : f.frontier) {
-    // Past the cap no child is grown: stop before inserting and charging.
-    if (ctx.truncated || ctx.budget <= 0) return;
-    // Probe with u set in place: most probes are repeats and copy nothing.
+    if (ctx.truncated || ctx.budget <= 0) break;  // past the cap
     const auto ui = static_cast<std::size_t>(u);
-    const std::uint64_t key = f.key ^ util::BitsetSet::zobrist_key(ui);
-    f.s.set(ui);
-    const bool fresh = ctx.visited.insert(f.s, key);
-    f.s.reset(ui);
-    if (!fresh) continue;
-    if (ctx.mem.charge(subgraph_bytes(dfg))) {
-      ctx.truncated = true;
-      return;
-    }
+    if (ctx.excluded.test(ui)) continue;
     ctx.path[depth + 1] = u;
     child.s = f.s;
     child.s.set(ui);
-    child.key = key;
     child.anc = f.anc;
     child.desc = f.desc;
     dfg.reach_union_add(u, child.anc, child.desc);
     grow(ctx, depth + 1, seed);
+    ctx.excluded.set(ui);
+    ctx.excluded_log.push_back(u);
   }
+  for (; ctx.excluded_log.size() > log_mark; ctx.excluded_log.pop_back())
+    ctx.excluded.reset(static_cast<std::size_t>(ctx.excluded_log.back()));
 }
 
 /// Sizes ctx.frames for the deepest possible search node and seeds frame 0.
@@ -259,20 +261,19 @@ void init_frames(GrowCtx& ctx, int seed) {
   ctx.frames.resize(depth_cap);
   ctx.path.resize(depth_cap);
   ctx.mark.resize(static_cast<std::size_t>(ctx.dfg.num_nodes()));
+  ctx.excluded = ctx.dfg.empty_set();
   GrowFrame& f0 = ctx.frames[0];
   f0.s = ctx.dfg.empty_set();
   f0.s.set(static_cast<std::size_t>(seed));
-  f0.key = util::BitsetSet::zobrist_key(static_cast<std::size_t>(seed));
   f0.anc = ctx.dfg.ancestors(seed);
   f0.desc = ctx.dfg.descendants(seed);
   ctx.path[0] = seed;
 }
 
 /// Body of enumerate_connected() with budget progress reported via `stats`:
-/// seeds in id order, one visited set, the grow-call cap and opts.budget
-/// charged in the order the search runs. Parallelism lives a layer up,
-/// across blocks (select::selection_items) and tasks
-/// (workloads::prefetch_tasks).
+/// seeds in id order, the grow-call cap and opts.budget charged in the order
+/// the search runs. Parallelism lives a layer up, across blocks
+/// (select::selection_items) and tasks (workloads::prefetch_tasks).
 std::vector<Candidate> enumerate_connected_impl(const ir::Dfg& dfg,
                                                 const hw::CellLibrary& lib,
                                                 const EnumOptions& opts,
@@ -280,7 +281,6 @@ std::vector<Candidate> enumerate_connected_impl(const ir::Dfg& dfg,
                                                 EnumStats* stats) {
   ISEX_SPAN_CAT("ise.enumerate_connected", "ise");
   GrowCtx ctx{dfg, lib, opts, block, exec_freq, opts.max_candidates,
-              util::BitsetSet(static_cast<std::size_t>(dfg.num_nodes())),
               {opts.budget}};
   const util::Bitset& valid = dfg.valid_mask();
   if (stats != nullptr) stats->seeds_total = dfg.num_nodes();
@@ -303,8 +303,6 @@ std::vector<Candidate> enumerate_connected_impl(const ir::Dfg& dfg,
   ISEX_COUNT_ADD("ise.enum.input_rejects", ctx.rejects[1]);
   ISEX_COUNT_ADD("ise.enum.output_rejects", ctx.rejects[2]);
   ISEX_COUNT_ADD("ise.enum.convexity_rejects", ctx.rejects[3]);
-  ISEX_COUNT_ADD("ise.enum.visited_entries", ctx.visited.size());
-  ISEX_COUNT_ADD("ise.enum.visited_bytes", ctx.visited.bytes());
   if (ctx.budget <= 0) ISEX_COUNT("ise.enum.budget_exhausted");
   if (ctx.truncated) ISEX_COUNT("ise.enum.robust_budget_truncations");
   return std::move(ctx.out);
@@ -336,7 +334,7 @@ std::vector<Candidate> enumerate_disconnected(
     seeds.resize(static_cast<std::size_t>(max_seeds));
 
   std::vector<Candidate> out;
-  util::BitsetSet seen(static_cast<std::size_t>(dfg.num_nodes()));
+  std::unordered_set<util::Bitset, util::BitsetHash> seen;
   for (std::size_t i = 0; i < seeds.size() &&
                           static_cast<int>(out.size()) < max_pairs;
        ++i) {
@@ -361,7 +359,7 @@ std::vector<Candidate> enumerate_disconnected(
       }
       util::Bitset merged = a.nodes;
       merged |= b.nodes;
-      if (!seen.insert(merged)) continue;
+      if (!seen.insert(merged).second) continue;
       if (!is_legal(dfg, merged, constraints)) {
         ++legality_rejects;
         continue;
@@ -390,12 +388,12 @@ robust::Outcome<std::vector<Candidate>> enumerate_candidates_bounded(
   EnumStats connected_stats;
   std::vector<Candidate> out = enumerate_connected_impl(
       dfg, lib, opts, block, exec_freq, &connected_stats);
-  util::BitsetSet seen(static_cast<std::size_t>(dfg.num_nodes()));
+  std::unordered_set<util::Bitset, util::BitsetHash> seen;
   for (const Candidate& c : out) seen.insert(c.nodes);
   EnumStats miso_stats;
   for (Candidate& m : maximal_misos_impl(dfg, lib, opts.constraints, block,
                                          exec_freq, opts.budget, &miso_stats))
-    if (seen.insert(m.nodes)) out.push_back(std::move(m));
+    if (seen.insert(m.nodes).second) out.push_back(std::move(m));
 #if ISEX_OBS_ENABLED
   for (const Candidate& c : out)
     ISEX_HIST("ise.candidate_nodes", c.nodes.count());

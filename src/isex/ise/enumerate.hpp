@@ -7,9 +7,9 @@
 //  - enumerate_connected(): growth-based enumeration of *connected convex*
 //    MIMO subgraphs under input/output constraints (the clustering family
 //    [9,24]); exhaustive over connected convex shapes for small regions and
-//    budget-capped for large ones. Seed-anchored growth (extensions must have
-//    id > seed, and each subgraph is visited once via a hash of its node set)
-//    guarantees no duplicates.
+//    budget-capped for large ones. Seed-anchored growth (extensions have id >
+//    seed; a finished branch's node is excluded from its later siblings'
+//    subtrees) grows each subgraph once, so it emits no duplicates.
 #pragma once
 
 #include <vector>
@@ -25,7 +25,7 @@ struct EnumOptions {
   long max_candidates = 200000;  // global work cap per basic block
   /// Cooperative execution budget (non-owning; nullptr = unlimited). The
   /// enumerators charge one unit per grow call / MISO root and account the
-  /// candidate pool + visited-set memory. Exhaustion stops enumeration with
+  /// memory of the candidates they emit. Exhaustion stops enumeration with
   /// the candidates found so far. The max_candidates/max_candidate_nodes
   /// caps above are quality knobs, not budget truncation: hitting them never
   /// changes the reported Status.

@@ -38,6 +38,7 @@ std::vector<ise::Candidate> disjoint_pool(const ir::Dfg& dfg,
   util::Bitset anc = dfg.empty_set(), desc = dfg.empty_set();
   std::vector<ise::Candidate> pool;
   std::vector<util::Bitset> accepted;
+  codegen::ScheduleScratch scratch;
   for (auto& c : cands) {
     if (c.total_gain() <= 0) continue;
     if (c.nodes.intersects(covered)) continue;
@@ -55,7 +56,7 @@ std::vector<ise::Candidate> disjoint_pool(const ir::Dfg& dfg,
     accepted.push_back(c.nodes);
     const bool fast = dfg.is_convex_unions(c.nodes, anc, desc) &&
                       !(anc.intersects(covered) && desc.intersects(covered));
-    if (!fast && !codegen::jointly_schedulable(dfg, accepted)) {
+    if (!fast && !codegen::jointly_schedulable(dfg, accepted, scratch)) {
       accepted.pop_back();
       continue;
     }

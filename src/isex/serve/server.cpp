@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cerrno>
 #include <csignal>
+#include <cstdint>
 #include <cstring>
 #include <exception>
 #include <utility>
@@ -13,6 +14,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <sstream>
@@ -44,14 +46,36 @@ namespace {
 // from server threads (pending_signal), so it needs to be a real atomic to be
 // data-race-free; it stays async-signal-safe because atomic<int> is lock-free.
 std::atomic<int> g_pending_signal{0};
+// CLOCK_MONOTONIC ns at which the pending signal arrived; 0 while its
+// handler has not stored it yet (or after consume_pending_signal).
+std::atomic<std::int64_t> g_pending_since_ns{0};
+static_assert(std::atomic<std::int64_t>::is_always_lock_free);
+
+// A repeat of the pending signal within this window is the same request
+// delivered twice, not a second one: coreutils `timeout` signals the child
+// and then its process group, and the two copies can reach different
+// threads. Well under a human double Ctrl-C.
+constexpr std::int64_t kRepeatSignalWindowNs = 50'000'000;  // 50 ms
+
+std::int64_t monotonic_ns() {  // clock_gettime is async-signal-safe
+  timespec ts{};
+  clock_gettime(CLOCK_MONOTONIC, &ts);
+  return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+}
 
 extern "C" void serve_signal_handler(int sig) {
+  const std::int64_t now = monotonic_ns();
   int expected = 0;
-  if (!g_pending_signal.compare_exchange_strong(expected, sig,
-                                                std::memory_order_relaxed)) {
-    _exit(128 + sig);  // second signal: no more grace
+  if (g_pending_signal.compare_exchange_strong(expected, sig,
+                                               std::memory_order_relaxed)) {
+    g_pending_since_ns.store(now, std::memory_order_relaxed);
+    robust::request_global_cancel();
+    return;
   }
-  robust::request_global_cancel();
+  const std::int64_t since = g_pending_since_ns.load(std::memory_order_relaxed);
+  if (expected == sig && (since == 0 || now - since < kRepeatSignalWindowNs))
+    return;  // the first copy's handler is running or has just run
+  _exit(128 + sig);  // a second request: no more grace
 }
 
 // A TaskSet or the reason it could not be built.
@@ -178,6 +202,7 @@ int pending_signal() {
 }
 
 int consume_pending_signal() {
+  g_pending_since_ns.store(0, std::memory_order_relaxed);
   return g_pending_signal.exchange(0, std::memory_order_relaxed);
 }
 

@@ -37,7 +37,8 @@
 // Shutdown: SIGTERM/SIGINT (install_signal_handlers) finishes the in-flight
 // solve, answers every queued request with "shutting_down", flushes, and
 // run() returns 0 — the deterministic clean-drain exit. A second signal
-// aborts immediately with exit 128+sig.
+// aborts immediately with exit 128+sig; the same signal again within 50 ms
+// is one request delivered twice and is ignored.
 #pragma once
 
 #include <cstdint>
@@ -299,7 +300,9 @@ int run_unix_socket(Server& server, const std::string& path);
 
 /// Installs the graceful-shutdown handlers: first SIGINT/SIGTERM sets the
 /// pending-signal flag and requests global solver cancellation
-/// (robust::request_global_cancel), a second one force-exits 128+sig.
+/// (robust::request_global_cancel), a second one force-exits 128+sig. A
+/// repeat of the same signal within 50 ms counts as the first (`timeout`
+/// signals both the process and its group).
 /// SIGPIPE is ignored so a vanished client surfaces as a write error, not
 /// process death. Call once from main(), never from tests.
 void install_signal_handlers();

@@ -3,6 +3,9 @@
 // schedules, and the code-size reduction claim.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <queue>
+
 #include "isex/codegen/schedule.hpp"
 #include "isex/ise/enumerate.hpp"
 #include "isex/mlgp/mlgp.hpp"
@@ -145,6 +148,105 @@ TEST_P(FunctionalEquivalence, CodeSizeShrinks) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FunctionalEquivalence, ::testing::Range(0, 12));
+
+// --- jointly_schedulable against the contracted-graph original ------------
+
+// jointly_schedulable() as it was first written: build the contracted graph
+// as edge lists, then Kahn-sort it with a std::queue.
+bool jointly_schedulable_original(const ir::Dfg& dfg,
+                                  const std::vector<util::Bitset>& cis) {
+  const auto n = static_cast<std::size_t>(dfg.num_nodes());
+  std::vector<int> super(n, -1);
+  for (std::size_t c = 0; c < cis.size(); ++c) {
+    bool overlap = false;
+    cis[c].for_each([&](std::size_t v) {
+      if (super[v] >= 0) overlap = true;
+      super[v] = static_cast<int>(c);
+    });
+    if (overlap) return false;
+  }
+  int num_super = static_cast<int>(cis.size());
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto op = dfg.node(static_cast<int>(v)).op;
+    if (super[v] >= 0 || op == ir::Opcode::kInput || op == ir::Opcode::kConst)
+      continue;
+    super[v] = num_super++;
+  }
+  std::vector<std::vector<int>> succ(static_cast<std::size_t>(num_super));
+  std::vector<int> indegree(static_cast<std::size_t>(num_super), 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    const int sv = super[v];
+    if (sv < 0) continue;
+    for (ir::NodeId o : dfg.node(static_cast<int>(v)).operands) {
+      const int so = super[static_cast<std::size_t>(o)];
+      if (so < 0 || so == sv) continue;
+      succ[static_cast<std::size_t>(so)].push_back(sv);
+      ++indegree[static_cast<std::size_t>(sv)];
+    }
+  }
+  std::queue<int> ready;
+  for (int s = 0; s < num_super; ++s)
+    if (indegree[static_cast<std::size_t>(s)] == 0) ready.push(s);
+  int seen = 0;
+  while (!ready.empty()) {
+    const int s = ready.front();
+    ready.pop();
+    ++seen;
+    for (int t : succ[static_cast<std::size_t>(s)])
+      if (--indegree[static_cast<std::size_t>(t)] == 0) ready.push(t);
+  }
+  return seen == num_super;
+}
+
+// Random CI sets over random blocks: mostly enumerated (convex) candidates,
+// some random node sets that need not be convex, some overlapping. One
+// scratch serves every query, as in select::disjoint_pool.
+TEST(JointlySchedulable, MatchesTheOriginalOnRandomCiSets) {
+  ScheduleScratch scratch;
+  int yes = 0, no = 0;
+  for (int seed = 0; seed < 40; ++seed) {
+    util::Rng rng(static_cast<std::uint64_t>(seed) * 61 + 19);
+    const ir::Dfg d = isex::testing::random_dfg(rng, 4, 20 + seed * 2, 0.1);
+    ise::EnumOptions opts;
+    opts.max_candidates = 3000;
+    const auto cands = ise::enumerate_connected(d, lib(), opts);
+    if (cands.empty()) continue;
+    for (int trial = 0; trial < 60; ++trial) {
+      std::vector<util::Bitset> cis;
+      const int k = rng.uniform_int(1, 6);
+      for (int i = 0; i < k; ++i) {
+        if (rng.chance(0.2)) {
+          util::Bitset r = d.empty_set();
+          for (int j = rng.uniform_int(1, 4); j > 0; --j)
+            r.set(static_cast<std::size_t>(
+                rng.uniform_int(0, d.num_nodes() - 1)));
+          cis.push_back(std::move(r));
+        } else {
+          cis.push_back(cands[static_cast<std::size_t>(rng.uniform_int(
+                                  0, static_cast<int>(cands.size()) - 1))]
+                            .nodes);
+        }
+      }
+      // Usually keep the set disjoint, the case the pool builder asks about.
+      if (rng.chance(0.8)) {
+        util::Bitset covered = d.empty_set();
+        std::erase_if(cis, [&](const util::Bitset& c) {
+          if (c.intersects(covered)) return true;
+          covered |= c;
+          return false;
+        });
+      }
+      const bool want = jointly_schedulable_original(d, cis);
+      ASSERT_EQ(jointly_schedulable(d, cis, scratch), want)
+          << "seed " << seed << " trial " << trial;
+      ASSERT_EQ(jointly_schedulable(d, cis), want);
+      (want ? yes : no) += 1;
+    }
+  }
+  // Both answers are exercised, not just the easy one.
+  EXPECT_GT(yes, 200);
+  EXPECT_GT(no, 200);
+}
 
 }  // namespace
 }  // namespace isex::codegen

@@ -265,22 +265,34 @@ const ir::Dfg& largest_block(const ir::Program& p) {
   return p.block(best).dfg;
 }
 
+// The hot block of every Table 5.1 kernel at the small caps, and a few at
+// the default cap. ndes's 26-node block needs 1.93M grow calls to exhaust,
+// so at the default cap most of its subgraphs are reached again and again
+// from different parents: every repeat must be pruned exactly where the
+// reference's visited set prunes it.
 class KernelDifferential : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(KernelDifferential, HotBlockMatchesReference) {
-  const ir::Program p = workloads::make_benchmark(GetParam());
-  for (long cap : kCaps)
-    expect_matches_reference(largest_block(p), cap, GetParam());
+  const std::string k = GetParam();
+  const ir::Program p = workloads::make_benchmark(k);
+  for (long cap : {7L, 50L, 333L})
+    expect_matches_reference(largest_block(p), cap, k);
+  if (k == "crc32" || k == "sha" || k == "adpcm_enc" || k == "3des" ||
+      k == "ndes")
+    expect_matches_reference(largest_block(p), EnumOptions{}.max_candidates, k);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Kernels, KernelDifferential,
-    ::testing::Values("crc32", "sha", "adpcm_enc", "3des"));
+    ::testing::Values("crc32", "sha", "blowfish", "rijndael", "susan",
+                      "adpcm_enc", "adpcm_dec", "cjpeg", "djpeg", "g721encode",
+                      "g721decode", "jfdctint", "ndes", "edn", "lms",
+                      "compress", "aes", "3des"));
 
-// The grow-call cap stops insertion: every visited entry charged to the
-// budget is followed by a counted grow call, so a capped block cannot
-// exhaust a memory budget with subgraphs it never grows.
-TEST(EnumerateBudget, CapStopsChargingVisitedEntries) {
+// The enumerator charges what it retains, one subgraph per emitted
+// candidate, and nothing for the subgraphs it only grows; the grow-call cap
+// still binds.
+TEST(EnumerateBudget, ChargesOneUnitPerEmittedCandidate) {
   const ir::Program p = workloads::make_benchmark("3des");
   const ir::Dfg& d = largest_block(p);
   // The unit enumeration charges per retained subgraph.
@@ -291,12 +303,11 @@ TEST(EnumerateBudget, CapStopsChargingVisitedEntries) {
     EnumOptions opts;
     opts.max_candidates = cap;
     opts.budget = &b;
-    enumerate_connected(d, lib(), opts);
+    const auto cands = enumerate_connected(d, lib(), opts);
     const auto r = b.report();
     EXPECT_EQ(r.nodes_charged, cap) << "the cap must bind";
-    EXPECT_EQ(r.mem_peak_bytes % unit, 0u);
-    EXPECT_LE(static_cast<long>(r.mem_peak_bytes / unit), r.nodes_charged)
-        << "cap " << cap << ": charged entries that were never grown";
+    EXPECT_GT(cands.size(), 0u) << "cap " << cap;
+    EXPECT_EQ(r.mem_peak_bytes, cands.size() * unit) << "cap " << cap;
   }
 }
 

@@ -15,6 +15,7 @@
 
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "isex/robust/budget.hpp"
@@ -828,6 +829,27 @@ TEST(ServeServer, UnixSocketServesAndDrainsOnSignal) {
   EXPECT_EQ(consume_pending_signal(), SIGTERM);
   robust::clear_global_cancel();
   EXPECT_NE(::unlink(path.c_str()), 0);  // already removed by the server
+}
+
+TEST(ServeSignals, RepeatOfTheSameSignalIsOneRequest) {
+  // `timeout` signals the process and then its process group, so one
+  // SIGTERM can arrive twice: the repeat must not hard-exit. A different
+  // signal afterwards is a second request and still does.
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    install_signal_handlers();
+    consume_pending_signal();
+    ::kill(::getpid(), SIGTERM);
+    ::kill(::getpid(), SIGTERM);
+    if (pending_signal() != SIGTERM) ::_exit(3);
+    ::kill(::getpid(), SIGINT);
+    ::_exit(4);  // not reached: SIGINT hard-exits 128+SIGINT
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "status " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 128 + SIGINT);
 }
 
 }  // namespace
