@@ -31,6 +31,7 @@
 #include "isex/certify/schedule.hpp"
 #include "isex/customize/select_edf.hpp"
 #include "isex/customize/select_rms.hpp"
+#include "isex/ise/enumerate.hpp"
 #include "isex/ise/single_cut.hpp"
 #include "isex/robust/fallback.hpp"
 #include "isex/rtreconfig/algorithms.hpp"
@@ -240,18 +241,19 @@ int main(int argc, char** argv) {
               !paranoid || out.certified());
     }
 
-    {  // Enumeration ladder: dense 360-op DFG, no invalid separators.
+    {  // Anytime enumeration: dense 360-op DFG, no invalid separators.
       const auto dfg = adversarial_dfg(rng, 10, 360);
       const auto& lib = hw::CellLibrary::standard_018um();
-      robust::FallbackOptions fb;
-      if (paranoid) fb.certify_pool_cap = -1;  // certify every candidate
       robust::Budget b = make_budget();
+      ise::EnumOptions eo;
+      eo.budget = &b;
       util::Stopwatch sw;
-      const auto out = robust::enumerate_with_fallback(
-          dfg, lib, ise::EnumOptions{}, &b, 0, 1, fb);
+      const auto out = ise::enumerate_candidates_bounded(dfg, lib, eo);
       Run r{"enumerate", trial, out.status, out.optimality_gap, sw.seconds(),
-            out.budget.nodes_charged, ""};
-      checked(std::move(r), true, "", !paranoid || out.certified());
+            b.report().nodes_charged, ""};
+      checked(std::move(r), true, "",
+              !paranoid || certify::check_candidate_pool(
+                               dfg, lib, eo.constraints, out.value).ok());
     }
 
     {  // Optimal single cut on the same dense DFG.

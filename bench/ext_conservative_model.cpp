@@ -26,7 +26,8 @@ rt::Task build_task(const std::string& name, const hw::CellLibrary& lib) {
       [&lib](const ir::Node& n) { return lib.sw_cycles(n); }));
   select::CurveOptions opts;
   opts.enum_opts.max_candidates = 20000;
-  const auto curve = select::build_config_curve(prog, counts, lib, opts);
+  const auto curve =
+      select::build_config_curve(prog, counts, lib, opts).curve;
   rt::Task t;
   t.name = name;
   t.configs = curve.points;

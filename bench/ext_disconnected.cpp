@@ -28,8 +28,10 @@ int main() {
     select::CurveOptions base;
     select::CurveOptions pairs;
     pairs.disconnected_pairs = true;
-    const auto c0 = select::build_config_curve(prog, counts, lib, base);
-    const auto c1 = select::build_config_curve(prog, counts, lib, pairs);
+    const auto c0 =
+        select::build_config_curve(prog, counts, lib, base).curve;
+    const auto c1 =
+        select::build_config_curve(prog, counts, lib, pairs).curve;
     const double s0 = c0.base_cycles() / c0.best_cycles();
     const double s1 = c1.base_cycles() / c1.best_cycles();
     t.row()

@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
     const ir::Program prog = workloads::make_benchmark(name);
     const auto counts = prog.wcet_counts(ir::Program::sum_cost(
         [&lib](const ir::Node& n) { return lib.sw_cycles(n); }));
-    const auto opts = workloads::default_curve_options(prog);
+    const auto opts = select::task_curve_options(prog);
 
     KernelResult kr;
     kr.name = name;
@@ -130,7 +130,8 @@ int main(int argc, char** argv) {
       std::string serialized;
       for (int r = 0; r < reps; ++r) {
         util::Stopwatch sw;
-        const auto curve = select::build_config_curve(prog, counts, lib, opts);
+        const auto curve =
+            select::build_config_curve(prog, counts, lib, opts).curve;
         best = std::min(best, sw.seconds());
         serialized = serialize_curve(curve);
       }

@@ -26,7 +26,8 @@ void load(const std::string& name, std::vector<pareto::Item>* items,
   const auto counts = prog.wcet_counts(ir::Program::sum_cost(
       [&lib](const ir::Node& n) { return lib.sw_cycles(n); }));
   const auto raw =
-      select::selection_items(prog, counts, lib, select::CurveOptions{});
+      select::build_config_curve(prog, counts, lib, select::CurveOptions{})
+          .items;
   std::vector<std::pair<double, double>> ag;
   for (const auto& it : raw) ag.emplace_back(it.area, it.gain);
   *items = pareto::quantize_items(ag, kGrid);

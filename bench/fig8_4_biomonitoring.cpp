@@ -22,7 +22,8 @@ int main() {
     const auto counts = prog.wcet_counts(ir::Program::sum_cost(
         [&lib](const ir::Node& n) { return lib.sw_cycles(n); }));
     const auto curve =
-        select::build_config_curve(prog, counts, lib, select::CurveOptions{});
+        select::build_config_curve(prog, counts, lib, select::CurveOptions{})
+            .curve;
     const double base = curve.base_cycles();
     for (double frac : {0.25, 0.5, 1.0}) {
       const double budget = frac * curve.max_area();

@@ -35,7 +35,8 @@ int main() {
     const auto counts = prog.wcet_counts(ir::Program::sum_cost(
         [&lib](const ir::Node& n) { return lib.sw_cycles(n); }));
     const auto curve =
-        select::build_config_curve(prog, counts, lib, select::CurveOptions{});
+        select::build_config_curve(prog, counts, lib, select::CurveOptions{})
+            .curve;
     // Spend half of each kernel's saturation area.
     const auto& cfg = curve.config_at(0.5 * curve.max_area());
     total_area += cfg.area;

@@ -22,7 +22,8 @@ pareto::Front task_items_front(const std::string& name, double grid,
   const auto counts = prog.wcet_counts(ir::Program::sum_cost(
       [&lib](const ir::Node& n) { return lib.sw_cycles(n); }));
   select::CurveOptions opts;
-  const auto raw = select::selection_items(prog, counts, lib, opts);
+  const auto raw =
+      select::build_config_curve(prog, counts, lib, opts).items;
   std::vector<std::pair<double, double>> ag;
   for (const auto& it : raw) ag.emplace_back(it.area, it.gain);
   const auto items = pareto::quantize_items(ag, grid);

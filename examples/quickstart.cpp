@@ -58,7 +58,8 @@ int main() {
   const auto counts = prog.wcet_counts(ir::Program::sum_cost(
       [&lib](const ir::Node& n) { return lib.sw_cycles(n); }));
   const auto curve =
-      select::build_config_curve(prog, counts, lib, select::CurveOptions{});
+      select::build_config_curve(prog, counts, lib, select::CurveOptions{})
+          .curve;
   std::printf("\nconfiguration curve (area -> cycles):\n");
   for (const auto& pt : curve.points)
     std::printf("  %8.2f -> %10.0f  (speedup %.2fx)\n", pt.area, pt.cycles,

@@ -219,23 +219,9 @@ CertifyReport check_candidate(const ir::Dfg& dfg, const hw::CellLibrary& lib,
 CertifyReport check_candidate_pool(const ir::Dfg& dfg,
                                    const hw::CellLibrary& lib,
                                    const ise::Constraints& c,
-                                   const std::vector<ise::Candidate>& pool,
-                                   const PoolCheckOptions& opts) {
+                                   const std::vector<ise::Candidate>& pool) {
   CertifyReport r;
-  // Stride-sample only the per-candidate deep checks; uniqueness always runs
-  // over the full pool (it is one hash insert per candidate).
-  std::size_t stride = 1;
-  if (opts.max_full_checks >= 0 &&
-      pool.size() > static_cast<std::size_t>(opts.max_full_checks)) {
-    stride = opts.max_full_checks == 0
-                 ? pool.size()
-                 : (pool.size() + static_cast<std::size_t>(opts.max_full_checks) -
-                    1) /
-                       static_cast<std::size_t>(opts.max_full_checks);
-    ISEX_COUNT_ADD("certify.ci.sampled",
-                   static_cast<long>(pool.size() - pool.size() / stride));
-  }
-  for (std::size_t i = 0; i < pool.size(); i += stride) {
+  for (std::size_t i = 0; i < pool.size(); ++i) {
     CertifyReport one = check_candidate(dfg, lib, c, pool[i]);
     if (!one.ok())
       one.violations.front().message = "candidate #" + std::to_string(i) +
@@ -243,16 +229,14 @@ CertifyReport check_candidate_pool(const ir::Dfg& dfg,
     r.merge(one);
     if (r.violations.size() >= 16) break;  // enough evidence; stay cheap
   }
-  if (opts.require_unique) {
-    std::unordered_set<util::Bitset, util::BitsetHash> seen;
-    for (std::size_t i = 0; i < pool.size(); ++i)
-      if (!seen.insert(pool[i].nodes).second) {
-        r.fail("ci.unique", "candidate #" + std::to_string(i) +
-                                " duplicates an earlier node set");
-        break;
-      }
-    r.pass();
-  }
+  std::unordered_set<util::Bitset, util::BitsetHash> seen;
+  for (std::size_t i = 0; i < pool.size(); ++i)
+    if (!seen.insert(pool[i].nodes).second) {
+      r.fail("ci.unique", "candidate #" + std::to_string(i) +
+                              " duplicates an earlier node set");
+      break;
+    }
+  r.pass();
   return r;
 }
 
@@ -282,6 +266,36 @@ CertifyReport check_partition(const ir::Dfg& dfg, const hw::CellLibrary& lib,
   ISEX_COUNT_ADD("certify.partition.checks", r.checks);
   ISEX_COUNT_ADD("certify.partition.violations",
                  static_cast<long>(r.violations.size()));
+  return r;
+}
+
+CertifyReport check_curve_pool(const ir::Program& prog,
+                               const hw::CellLibrary& lib,
+                               const ise::Constraints& c,
+                               const std::vector<ise::Candidate>& pool) {
+  CertifyReport r;
+  std::vector<std::vector<ise::Candidate>> per_block(
+      static_cast<std::size_t>(prog.num_blocks()));
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    const int b = pool[i].block;
+    if (b < 0 || b >= prog.num_blocks()) {
+      r.fail("pool.block", "candidate #" + std::to_string(i) +
+                               " names block " + std::to_string(b) + " of " +
+                               std::to_string(prog.num_blocks()));
+      continue;
+    }
+    r.pass();
+    per_block[static_cast<std::size_t>(b)].push_back(pool[i]);
+  }
+  for (int b = 0; b < prog.num_blocks(); ++b) {
+    const auto& parts = per_block[static_cast<std::size_t>(b)];
+    if (parts.empty()) continue;
+    const ir::Dfg& dfg = prog.block(b).dfg;
+    util::Bitset whole = dfg.empty_set();
+    for (int v = 0; v < dfg.num_nodes(); ++v)
+      whole.set(static_cast<std::size_t>(v));
+    r.merge(check_partition(dfg, lib, c, whole, parts));
+  }
   return r;
 }
 

@@ -366,18 +366,16 @@ customize::SelectionResult select_for(Ctx& ctx, const rt::TaskSet& ts,
       ctx.note_certificate(certify::check_selection_rms(ts, budget, r));
     return r;
   }
-  robust::FallbackOptions fb;
-  if (ctx.paranoid) fb.certify_pool_cap = -1;
   if (policy == rt::Policy::kEdf) {
     const auto out = robust::select_edf_with_fallback(
-        ts, budget, customize::EdfOptions{}, ctx.budget_ptr(), fb);
+        ts, budget, customize::EdfOptions{}, ctx.budget_ptr());
     ctx.note(out.status);
     ctx.note_certificate(out.certificate);
     print_outcome_line(out.status, out.optimality_gap, out.budget, out.detail);
     return out.value;
   }
   const auto out = robust::select_rms_with_fallback(
-      ts, budget, customize::RmsOptions{}, ctx.budget_ptr(), fb);
+      ts, budget, customize::RmsOptions{}, ctx.budget_ptr());
   ctx.note(out.status);
   ctx.note_certificate(out.certificate);
   print_outcome_line(out.status, out.optimality_gap, out.budget, out.detail);
@@ -433,17 +431,14 @@ int cmd_select(Ctx& ctx, double u0, double frac, rt::Policy policy,
   return r.schedulable ? 0 : 1;
 }
 
-/// Area grid of the benchmark task curves (select::CurveOptions::area_grid);
-/// the Pareto fronts are quantized on it so they share the curve's costs.
-constexpr double kCurveAreaGrid = 0.25;
-
 /// A benchmark's Chapter 4 Pareto items: the knapsack items its task curve
-/// was built from (workloads::cached_items), on the curve's area grid.
+/// was built from (workloads::cached_items), quantized on the curve's area
+/// grid (select::kAreaGrid) so the fronts share the curve's costs.
 std::vector<pareto::Item> curve_pareto_items(const std::string& bench) {
   std::vector<std::pair<double, double>> ag;
   for (const auto& it : workloads::cached_items(bench))
     ag.emplace_back(it.area, it.gain);
-  return pareto::quantize_items(ag, kCurveAreaGrid);
+  return pareto::quantize_items(ag, select::kAreaGrid);
 }
 
 int cmd_pareto(const std::string& bench, double eps) {
@@ -709,13 +704,16 @@ void write_certify_json(std::ostream& out, double u0, double frac,
 }
 
 /// Re-derives and certifies every solver contract on the given benchmarks:
-/// per block, the enumeration pool, the optimal single cut and the MLGP
-/// partition; per benchmark, the exact and approximate Pareto fronts over
-/// the task curve's own knapsack items (workloads::cached_items, so each
-/// kernel is identified once for its curve), their epsilon-cover, and that
-/// the task curve lies on the exact front; and across the joint task set,
-/// EDF and RMS selection (with brute-force optimality spot-checks on small
-/// instances) plus the Chapter 7 reconfiguration partitioners. All solver
+/// per benchmark, the disjoint candidate pool its task curve was built from
+/// (workloads::cached_pool: each candidate legal, inside its block, pairwise
+/// disjoint), then per block the optimal single cut and the MLGP partition,
+/// then the exact and approximate Pareto fronts over the curve's own
+/// knapsack items (workloads::cached_items), their epsilon-cover, and that
+/// the task curve lies on the exact front. Each kernel is identified once,
+/// for its curve; a warm task memo means no identification at all. Across
+/// the joint task set: EDF and RMS selection (with brute-force optimality
+/// spot-checks on small instances) plus the Chapter 7 reconfiguration
+/// partitioners. All solver
 /// runs are bounded by deterministic work caps (node budgets, not wall
 /// clocks), so two identical invocations produce byte-identical reports.
 /// Exit 0 when every certificate holds, 4 otherwise.
@@ -741,7 +739,6 @@ int cmd_certify(Ctx& ctx, std::vector<std::string> rest) {
   require_benchmarks(benches);
 
   const auto& lib = hw::CellLibrary::standard_018um();
-  const long pool_cap = ctx.paranoid ? -1 : 512;
   certify::CertifyReport total;
   std::vector<std::pair<std::string, certify::CertifyReport>> rows;
 
@@ -751,16 +748,12 @@ int cmd_certify(Ctx& ctx, std::vector<std::string> rest) {
   for (const auto& bench : benches) {
     certify::CertifyReport rep;
     const auto prog = workloads::make_benchmark(bench);
+    // (a) CI legality and disjointness of the pool the curve was built from.
+    rep.merge(certify::check_curve_pool(
+        prog, lib, select::task_curve_options(prog).enum_opts.constraints,
+        workloads::cached_pool(bench)));
     for (int b = 0; b < prog.num_blocks(); ++b) {
       const ir::Dfg& dfg = prog.block(b).dfg;
-      // (a) CI legality of the enumeration pool.
-      ise::EnumOptions eo;
-      eo.max_candidates = 20000;
-      const auto pool = ise::enumerate_candidates(dfg, lib, eo, b, 1);
-      certify::PoolCheckOptions po;
-      po.max_full_checks = pool_cap;
-      rep.merge(certify::check_candidate_pool(dfg, lib, eo.constraints, pool,
-                                              po));
       // The optimal single cut, bounded by a deterministic node budget.
       robust::Budget sb;
       sb.set_node_budget(200000);
@@ -791,7 +784,7 @@ int cmd_certify(Ctx& ctx, std::vector<std::string> rest) {
     rep.merge(certify::check_front(approx, bench + " approx"));
     rep.merge(certify::check_eps_cover(exact, approx, eps));
     rep.merge(certify::check_curve_on_front(task.configs, exact,
-                                            kCurveAreaGrid, bench));
+                                            select::kAreaGrid, bench));
 
     ctx.note_certificate(rep);
     total.merge(rep);
@@ -987,11 +980,13 @@ int cmd_serve(Ctx& ctx, std::vector<std::string> rest) {
 
 /// `isex lift <binary>`: the untrusted-binary frontend, end to end — bounded
 /// file read, ELF32 parse, total RV32I decode, basic-block recovery, DFG
-/// lift, independent certification, and finally the same identification /
-/// selection pipeline the synthetic benchmarks go through (candidate
-/// enumeration + config curve). `-o` writes the lifted blocks in serve's
-/// inline-DFG JSON node format, so a lifted block can be pasted straight
-/// into an `isex serve` request.
+/// lift, the same identification / selection pipeline and policy the
+/// benchmark tasks go through (select::task_curve_options: one connected
+/// enumeration per hot block, then the config curve), and independent
+/// certification of the lifted program and of the pool that curve was built
+/// from. `-o` writes the lifted blocks in serve's inline-DFG JSON node
+/// format, so a lifted block can be pasted straight into an `isex serve`
+/// request.
 int cmd_lift(Ctx& ctx, std::vector<std::string> rest) {
   std::string path, out_path, fixture_name, emit_name;
   bool raw = false;
@@ -1096,22 +1091,20 @@ int cmd_lift(Ctx& ctx, std::vector<std::string> rest) {
   const ir::Program& prog = lifted.program;
   const frontend::LiftStats& st = lifted.stats;
 
-  // Independent certification before any solver sees the graphs: structural
-  // well-formedness of every block, then CI legality of the enumeration pool
-  // each block feeds the selection stage (uncapped under --paranoid).
+  // Independent certification: structural well-formedness of every block
+  // before any solver sees the graphs, then the candidate pool the curve
+  // below was built from (legal, inside its block, pairwise disjoint).
+  // Every recovered block executes once per pass (the frontend recovers no
+  // loop bounds), and the curve is built under the benchmark tasks' policy.
   const auto& lib = hw::CellLibrary::standard_018um();
   certify::CertifyReport rep = certify::check_program(prog);
-  ise::EnumOptions eo;
-  eo.max_candidates = 20000;
-  certify::PoolCheckOptions po;
-  po.max_full_checks = ctx.paranoid ? -1 : 512;
-  for (int b = 0; b < prog.num_blocks(); ++b) {
-    const auto pool =
-        ise::enumerate_candidates(prog.block(b).dfg, lib, eo, b, 1);
-    rep.merge(
-        certify::check_candidate_pool(prog.block(b).dfg, lib, eo.constraints,
-                                      pool, po));
-  }
+  const auto cost = ir::Program::sum_cost(
+      [&lib](const ir::Node& n) { return lib.sw_cycles(n); });
+  const select::CurveOptions co = select::task_curve_options(prog);
+  const select::CurveBuild build =
+      select::build_config_curve(prog, prog.wcet_counts(cost), lib, co);
+  rep.merge(certify::check_curve_pool(prog, lib, co.enum_opts.constraints,
+                                      build.pool));
   ctx.note_certificate(rep);
 
   std::printf("lifted %s: %ld instructions (%ld illegal), %d blocks, "
@@ -1145,21 +1138,8 @@ int cmd_lift(Ctx& ctx, std::vector<std::string> rest) {
   }
   bt.print();
 
-  // The selection pipeline on the lifted program: every recovered block
-  // executes once per pass (the frontend recovers no loop bounds), and the
-  // curve shows the customization headroom of the binary's code.
-  const auto cost = ir::Program::sum_cost(
-      [&lib](const ir::Node& n) { return lib.sw_cycles(n); });
-  const auto counts = prog.wcet_counts(cost);
-  select::CurveOptions co;
-  int max_block = 0;
-  for (const auto& b : prog.blocks())
-    max_block = std::max(max_block, b.dfg.num_nodes());
-  if (max_block > 600) {
-    co.enum_opts.max_candidates = 20000;
-    co.enum_opts.max_candidate_nodes = 16;
-  }
-  const auto curve = select::build_config_curve(prog, counts, lib, co);
+  // The customization headroom of the binary's code.
+  const select::ConfigCurve& curve = build.curve;
   util::Table ct({"area", "cycles", "speedup"});
   for (const auto& cfg : curve.points)
     ct.row().cell(cfg.area, 2).cell(cfg.cycles, 0).cell(

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <thread>
 
 #include "isex/obs/trace.hpp"
 #include "isex/util/file.hpp"
@@ -91,6 +92,7 @@ void Journal::set_capacity(std::size_t capacity) {
   slots_ = std::make_unique<Slot[]>(cap);
   mask_ = cap - 1;
   head_.store(0, std::memory_order_release);
+  dropped_.store(0, std::memory_order_relaxed);
 }
 
 std::uint64_t Journal::record(JournalKind kind, JournalPhase phase,
@@ -98,7 +100,6 @@ std::uint64_t Journal::record(JournalKind kind, JournalPhase phase,
                               std::int64_t v1, std::uint64_t rid) {
   if (!enabled()) return 0;
   const std::uint64_t seq = head_.fetch_add(1, std::memory_order_relaxed) + 1;
-  Slot& slot = slots_[(seq - 1) & mask_];
   JournalRecord rec;
   rec.seq = seq;
   rec.rid = rid != 0 ? rid : t_current_rid;
@@ -110,16 +111,43 @@ std::uint64_t Journal::record(JournalKind kind, JournalPhase phase,
   rec.phase = phase;
   std::uint64_t w[kRecordWords];
   std::memcpy(w, &rec, sizeof(rec));
-  // Per-slot seqlock: mark busy, write payload words, publish seq. A writer
-  // that laps another mid-write just leaves the slot busy briefly; readers
-  // skip any slot whose stamp is not the exact seq they expect both before
-  // and after copying.
-  slot.stamp.store(kBusy, std::memory_order_release);
+  write_slot(seq, w);
+  return seq;
+}
+
+void Journal::write_slot(std::uint64_t seq,
+                         const std::uint64_t (&w)[kRecordWords]) {
+  Slot& slot = slots_[(seq - 1) & mask_];
+  // Per-slot seqlock with an owner. A writer claims the slot by swapping its
+  // stamp for seq | kBusyBit, and only from a committed older seq: a newer
+  // seq (committed or mid-write) means this writer was lapped, so its record
+  // is dropped; an older writer still mid-write is waited out (it has a
+  // handful of stores left). So payload words are only ever stored by the
+  // slot's newest claimant, and the slot ends holding the newest seq written
+  // to it. Readers skip any slot whose stamp is not the exact seq they
+  // expect both before and after copying.
+  std::uint64_t stamp = slot.stamp.load(std::memory_order_acquire);
+  for (;;) {
+    if ((stamp & ~kBusyBit) > seq) {
+      dropped_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    if ((stamp & kBusyBit) != 0) {
+      std::this_thread::yield();
+      stamp = slot.stamp.load(std::memory_order_acquire);
+      continue;
+    }
+    if (slot.stamp.compare_exchange_weak(stamp, seq | kBusyBit,
+                                         std::memory_order_acquire,
+                                         std::memory_order_acquire))
+      break;
+  }
+  // Order the busy stamp before the payload stores (seqlock writer fence).
+  std::atomic_thread_fence(std::memory_order_release);
   for (std::size_t i = 0; i < kRecordWords; ++i) {
     slot.words[i].store(w[i], std::memory_order_relaxed);
   }
   slot.stamp.store(seq, std::memory_order_release);
-  return seq;
 }
 
 bool Journal::read_slot(std::uint64_t seq, JournalRecord* out) const {
@@ -209,6 +237,7 @@ void Journal::clear() {
     }
   }
   head_.store(0, std::memory_order_release);
+  dropped_.store(0, std::memory_order_relaxed);
 }
 
 std::uint64_t current_request_id() { return t_current_rid; }

@@ -6,10 +6,13 @@
 //  1. Crash-readable. Records live in one preallocated slot array; an
 //     async-signal-safe handler can walk it after SIGSEGV/SIGABRT with no
 //     malloc, no formatting, no locks (crash_dump / install_crash_handler).
-//  2. Wait-free writers. record() is a fetch_add plus plain stores behind a
-//     per-slot commit stamp (a seqlock): writers never block each other and
-//     never block on readers, so the journal can sit on the request hot
-//     path (<5% soak-throughput overhead, measured in EXPERIMENTS.md).
+//  2. Cheap writers. record() is a fetch_add, a CAS that claims the slot,
+//     and plain stores behind the per-slot commit stamp (a seqlock). Writers
+//     never block on readers. A writer waits for another only when an older
+//     writer one ring lap behind is still filling the same slot, and a
+//     lapped writer drops its record (Journal::dropped) rather than overwrite
+//     a newer one, so the journal can sit on the request hot path (<5%
+//     soak-throughput overhead, measured in EXPERIMENTS.md).
 //  3. Attribution. Every record carries a request id (rid). The serve loop
 //     allocates one rid per request line and opens a JournalScope, so
 //     instrumentation deep in robust::solve_with_fallback, certify:: and
@@ -130,15 +133,21 @@ class Journal {
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
 
-  /// Appends one record (wait-free, thread-safe). rid 0 means "attribute to
-  /// the calling thread's current JournalScope, if any". Returns the
-  /// sequence number, or 0 when disabled.
+  /// Appends one record (thread-safe; see design constraint 2). rid 0 means
+  /// "attribute to the calling thread's current JournalScope, if any".
+  /// Returns the sequence number, or 0 when disabled.
   std::uint64_t record(JournalKind kind, JournalPhase phase,
                        std::int64_t dur_ns = 0, std::int64_t v0 = 0,
                        std::int64_t v1 = 0, std::uint64_t rid = 0);
 
   /// Total records ever written (the ring holds the last capacity() of them).
   std::uint64_t head() const { return head_.load(std::memory_order_acquire); }
+
+  /// Records dropped because a writer one or more laps ahead had already
+  /// claimed their slot (the newer record is kept).
+  std::uint64_t dropped() const {
+    return dropped_.load(std::memory_order_relaxed);
+  }
 
   /// Copies the last `last_n` committed records (0 = everything retained),
   /// oldest first. Torn slots — concurrently overwritten mid-copy — are
@@ -159,21 +168,27 @@ class Journal {
   void clear();
 
  private:
+  friend struct JournalTestPeer;
+
   // Payload is stored as relaxed atomic words (not a plain JournalRecord) so
   // the seqlock is a data race neither formally nor under tsan; the stamp is
-  // 0 = free, kBusy = mid-write, else the committed seq.
+  // 0 = free, seq | kBusyBit = claimed by seq and mid-write, else the
+  // committed seq.
   static constexpr std::size_t kRecordWords =
       sizeof(JournalRecord) / sizeof(std::uint64_t);
   struct Slot {
     std::atomic<std::uint64_t> stamp{0};
     std::atomic<std::uint64_t> words[kRecordWords] = {};
   };
-  static constexpr std::uint64_t kBusy = ~std::uint64_t{0};
+  static constexpr std::uint64_t kBusyBit = std::uint64_t{1} << 63;
 
+  /// Publishes record words `w` for sequence number `seq` (see record()).
+  void write_slot(std::uint64_t seq, const std::uint64_t (&w)[kRecordWords]);
   bool read_slot(std::uint64_t seq, JournalRecord* out) const;
 
   std::atomic<bool> enabled_{true};
   std::atomic<std::uint64_t> head_{0};
+  std::atomic<std::uint64_t> dropped_{0};
   std::size_t mask_ = 0;
   std::unique_ptr<Slot[]> slots_;
 

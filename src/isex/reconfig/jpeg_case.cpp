@@ -23,7 +23,8 @@ HotLoop loop_from_blocks(const ir::Program& prog, const std::string& name,
         static_cast<std::int64_t>(per_entry_execs * total_entries);
   select::CurveOptions opts;
   opts.max_points = max_versions + 1;
-  const auto curve = select::build_config_curve(prog, counts, lib, opts);
+  const auto curve =
+      select::build_config_curve(prog, counts, lib, opts).curve;
 
   HotLoop loop;
   loop.name = name;

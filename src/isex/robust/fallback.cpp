@@ -1,9 +1,7 @@
 #include "isex/robust/fallback.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
-#include "isex/certify/ci.hpp"
 #include "isex/certify/schedule.hpp"
 #include "isex/customize/heuristics.hpp"
 #include "isex/obs/journal.hpp"
@@ -192,70 +190,6 @@ Outcome<customize::RmsResult> select_rms_with_fallback(
   out.value.status = out.status;
   out.value.optimality_gap = out.optimality_gap;
   return out;
-}
-
-Outcome<std::vector<ise::Candidate>> enumerate_with_fallback(
-    const ir::Dfg& dfg, const hw::CellLibrary& lib,
-    const ise::EnumOptions& base, Budget* budget, int block, double exec_freq,
-    const FallbackOptions& fb) {
-  ISEX_SPAN_CAT("robust.fallback.enumerate", "robust");
-  using R = std::vector<ise::Candidate>;
-  constexpr int kDegreeBoundNodes = 10;
-  constexpr long kDegreeBoundCandidates = 20000;
-  std::vector<std::pair<std::string, std::function<Outcome<R>(Budget*)>>>
-      rungs;
-  rungs.emplace_back("full", [&](Budget* b) {
-    ise::EnumOptions o = base;
-    o.budget = b;
-    return ise::enumerate_candidates_bounded(dfg, lib, o, block, exec_freq);
-  });
-  rungs.emplace_back("degree-bounded", [&](Budget* b) {
-    ISEX_COUNT("robust.fallback.enum.degree_retries");
-    ise::EnumOptions o = base;
-    o.max_candidate_nodes = std::min(base.max_candidate_nodes,
-                                     kDegreeBoundNodes);
-    o.max_candidates = std::min(base.max_candidates, kDegreeBoundCandidates);
-    o.budget = b;
-    return ise::enumerate_candidates_bounded(dfg, lib, o, block, exec_freq);
-  });
-  rungs.emplace_back("maximal-misos", [&](Budget*) {
-    ISEX_COUNT("robust.fallback.enum.miso_retries");
-    Outcome<R> r;
-    r.value =
-        ise::maximal_misos(dfg, lib, base.constraints, block, exec_freq);
-    return r;
-  });
-  // Larger candidate pools win; candidates from all rungs are merged below,
-  // so the comparator only orders the base value the merge starts from.
-  auto better = [](const Outcome<R>& a, const Outcome<R>& b) {
-    return a.value.size() > b.value.size();
-  };
-  // Run the ladder but keep every rung's candidates: wrap each rung so its
-  // output accumulates into one deduplicated pool. Each rung's *raw* output
-  // is certified before it may touch the pool — a corrupt rung is demoted
-  // without poisoning the candidates later rungs inherit.
-  std::unordered_set<util::Bitset, util::BitsetHash> seen;
-  R pool;
-  certify::PoolCheckOptions po;
-  po.max_full_checks = fb.certify_pool_cap;
-  po.require_unique = false;  // cross-rung duplicates are expected pre-merge
-  for (auto& [name, fn] : rungs) {
-    auto inner = std::move(fn);
-    fn = [&seen, &pool, po, &dfg, &lib, &base, inner](Budget* b) {
-      Outcome<R> r = inner(b);
-      r.certificate =
-          certify::check_candidate_pool(dfg, lib, base.constraints, r.value, po);
-      if (!r.certificate.ok()) {
-        r.value = pool;  // hand back only what earlier rungs certified
-        return r;
-      }
-      for (ise::Candidate& c : r.value)
-        if (seen.insert(c.nodes).second) pool.push_back(std::move(c));
-      r.value = pool;
-      return r;
-    };
-  }
-  return solve_with_fallback<R>(budget, fb, rungs, better);
 }
 
 }  // namespace isex::robust

@@ -6,15 +6,16 @@
 //   EDF selection:  fine-grid DP -> coarse-grid DP (grid x8) -> greedy
 //                   gain/area knapsack;
 //   RMS selection:  full branch-and-bound -> beam-limited branch-and-bound
-//                   -> greedy knapsack validated by the exact RMS test;
-//   enumeration:    full growth enumeration -> degree-bounded enumeration
-//                   (small subgraphs only) -> maximal MISOs (linear).
+//                   -> greedy knapsack validated by the exact RMS test.
 // Each retry rung runs under a fresh slice of the original budget
 // (FallbackOptions::retry_time_fraction / retry_node_divisor), so the whole
 // ladder stays within a small constant factor of the requested budget. The
 // best feasible value seen across rungs wins; results produced by a rung
 // below the first are reported as kDegraded, and the rung trail is recorded
 // in Outcome::detail and in the obs metrics registry.
+//
+// Identification has no ladder: a starved enumerate_candidates_bounded
+// already returns the legal candidates found so far as kBudgetTruncated.
 #pragma once
 
 #include <algorithm>
@@ -25,7 +26,6 @@
 #include <vector>
 
 #include "isex/customize/select_rms.hpp"
-#include "isex/ise/enumerate.hpp"
 #include "isex/robust/outcome.hpp"
 
 namespace isex::robust {
@@ -38,10 +38,6 @@ struct FallbackOptions {
   /// Floor on a retry rung's node slice, so tiny budgets still let the
   /// cheap rungs do a useful amount of work.
   long retry_node_floor = 4096;
-  /// Per-rung cap on full candidate certifications in the enumeration
-  /// ladder (deterministic sample above it; see certify::PoolCheckOptions).
-  /// < 0 certifies every candidate — what --paranoid selects.
-  long certify_pool_cap = 256;
   /// First ladder rung to run (clamped to the last rung). The load-shedding
   /// hook: a server under pressure enters the ladder below the exact rung,
   /// trading optimality-gap for latency. Results from a non-zero start are
@@ -143,13 +139,5 @@ Outcome<customize::RmsResult> select_rms_with_fallback(
     const rt::TaskSet& ts, double area_budget,
     const customize::RmsOptions& base, Budget* budget,
     const FallbackOptions& fb = {});
-
-/// Candidate-enumeration ladder. Values of later rungs are merged with the
-/// truncated rung-1 pool (duplicates removed), so descending never loses
-/// already-found candidates.
-Outcome<std::vector<ise::Candidate>> enumerate_with_fallback(
-    const ir::Dfg& dfg, const hw::CellLibrary& lib,
-    const ise::EnumOptions& base, Budget* budget, int block = 0,
-    double exec_freq = 1, const FallbackOptions& fb = {});
 
 }  // namespace isex::robust

@@ -24,6 +24,27 @@ const Config& ConfigCurve::config_at(double area_budget) const {
   return *best;
 }
 
+CurveOptions task_curve_options(const ir::Program& prog) {
+  CurveOptions opts;
+  int max_block = 0;
+  for (const auto& b : prog.blocks())
+    max_block = std::max(max_block, b.dfg.num_nodes());
+  if (max_block > 600) {
+    opts.enum_opts.max_candidates = 20000;
+    opts.enum_opts.max_candidate_nodes = 16;
+  } else {
+    opts.enum_opts.max_candidates = 60000;
+    opts.enum_opts.max_candidate_nodes = 24;
+  }
+  return opts;
+}
+
+CurveOptions inline_dfg_curve_options() {
+  CurveOptions opts;
+  opts.enum_opts.max_candidates = 20000;
+  return opts;
+}
+
 std::vector<ise::Candidate> disjoint_pool(const ir::Dfg& dfg,
                                           std::vector<ise::Candidate> cands) {
   std::sort(cands.begin(), cands.end(),
@@ -79,9 +100,14 @@ double base_cycles(const ir::Program& prog,
   return base;
 }
 
-std::vector<opt::KnapsackItem> selection_items(
-    const ir::Program& prog, const std::vector<std::int64_t>& counts,
-    const hw::CellLibrary& lib, const CurveOptions& opts) {
+namespace {
+
+/// Identification, per-block thinning and isomorphic merging: fills `out`'s
+/// pool and knapsack items.
+void selection_items(const ir::Program& prog,
+                     const std::vector<std::int64_t>& counts,
+                     const hw::CellLibrary& lib, const CurveOptions& opts,
+                     CurveBuild& out) {
   ISEX_SPAN_CAT("select.selection_items", "select");
   // Hottest blocks by cycle contribution.
   std::vector<double> contribution(static_cast<std::size_t>(prog.num_blocks()));
@@ -105,7 +131,7 @@ std::vector<opt::KnapsackItem> selection_items(
   // order, so the result is byte-identical to the serial loop. With a
   // budget that has deterministic limits the serial loop is kept: its
   // in-order charging decides where a truncated run stops enumerating.
-  const int hot = std::min<int>(opts.max_hot_blocks, prog.num_blocks());
+  const int hot = std::min<int>(kMaxHotBlocks, prog.num_blocks());
   std::vector<std::vector<ise::Candidate>> block_pools(
       static_cast<std::size_t>(hot));
   auto build_block = [&](std::size_t i) {
@@ -141,14 +167,14 @@ std::vector<opt::KnapsackItem> selection_items(
   else
     for (int i = 0; i < hot; ++i) build_block(static_cast<std::size_t>(i));
 
-  std::vector<ise::Candidate> pool;
+  std::vector<ise::Candidate>& pool = out.pool;
   for (auto& bp : block_pools)
     for (auto& c : bp) pool.push_back(std::move(c));
 
   // Isomorphic instructions (same datapath shape) may share one hardware
   // implementation: a whole isomorphism class becomes one item whose gain is
   // the sum over its occurrences.
-  std::vector<opt::KnapsackItem> items;
+  std::vector<opt::KnapsackItem>& items = out.items;
   if (opts.share_isomorphic) {
     std::unordered_map<std::uint64_t, opt::KnapsackItem> classes;
     for (const auto& c : pool) {
@@ -164,22 +190,22 @@ std::vector<opt::KnapsackItem> selection_items(
     for (const auto& c : pool)
       items.push_back(opt::KnapsackItem{c.est.area, c.total_gain()});
   }
-  return items;
 }
 
-ConfigCurve build_config_curve(const ir::Program& prog,
-                               const std::vector<std::int64_t>& counts,
-                               const hw::CellLibrary& lib,
-                               const CurveOptions& opts,
-                               std::vector<opt::KnapsackItem>* items_out) {
+}  // namespace
+
+CurveBuild build_config_curve(const ir::Program& prog,
+                              const std::vector<std::int64_t>& counts,
+                              const hw::CellLibrary& lib,
+                              const CurveOptions& opts) {
   ISEX_SPAN_CAT("select.build_config_curve", "select");
   ISEX_COUNT("select.curve_builds");
   const double base = base_cycles(prog, counts, lib);
-  auto items = selection_items(prog, counts, lib, opts);
-  ISEX_COUNT_ADD("select.knapsack_items", items.size());
-  ConfigCurve curve = curve_from_items(items, base, opts);
-  if (items_out != nullptr) *items_out = std::move(items);
-  return curve;
+  CurveBuild out;
+  selection_items(prog, counts, lib, opts, out);
+  ISEX_COUNT_ADD("select.knapsack_items", out.items.size());
+  out.curve = curve_from_items(out.items, base, opts);
+  return out;
 }
 
 ConfigCurve curve_from_items(const std::vector<opt::KnapsackItem>& items,
@@ -190,12 +216,12 @@ ConfigCurve curve_from_items(const std::vector<opt::KnapsackItem>& items,
   ConfigCurve curve;
   curve.points.push_back(Config{0, base});
   if (!items.empty() && max_area > 0) {
-    const auto profile = opt::knapsack_profile(items, max_area, opts.area_grid);
+    const auto profile = opt::knapsack_profile(items, max_area, kAreaGrid);
     double last_gain = 0;
     for (std::size_t a = 1; a < profile.size(); ++a) {
       if (profile[a] > last_gain + 1e-9) {
         last_gain = profile[a];
-        curve.points.push_back(Config{static_cast<double>(a) * opts.area_grid,
+        curve.points.push_back(Config{static_cast<double>(a) * kAreaGrid,
                                       base - profile[a]});
       }
     }

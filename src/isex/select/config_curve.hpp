@@ -42,11 +42,14 @@ struct ConfigCurve {
   const Config& config_at(double area_budget) const;
 };
 
+/// Knapsack quantization of every configuration curve (adder-equivalents).
+inline constexpr double kAreaGrid = 0.25;
+/// Identification runs only in a program's hottest blocks, by cycle share.
+inline constexpr int kMaxHotBlocks = 12;
+
 struct CurveOptions {
   ise::EnumOptions enum_opts;
-  double area_grid = 0.25;       // knapsack quantization (adder-equivalents)
   bool share_isomorphic = true;  // isomorphic CIs share one implementation
-  int max_hot_blocks = 12;       // enumerate only in the hottest blocks
   int max_points = 64;           // curve thinning (0 = keep all breakpoints)
   /// Also build disconnected two-component candidates (CFU-internal
   /// parallelism on the single-issue base core); see
@@ -54,36 +57,48 @@ struct CurveOptions {
   bool disconnected_pairs = false;
 };
 
+/// Identification policy of the benchmark tasks (workloads::cached_task) and
+/// of `isex lift`: 60000 grow calls and 24-node candidates per block, or
+/// 20000 / 16 when the program has a block over 600 nodes (3des); the curve
+/// quality saturates long before these caps.
+CurveOptions task_curve_options(const ir::Program& prog);
+
+/// Identification policy of serve's inline DFGs (at most 256 ops): 20000
+/// grow calls and 40-node candidates. Serve keeps its own because the task
+/// policy's larger grow-call cap makes identification of its traffic slower.
+CurveOptions inline_dfg_curve_options();
+
 /// Thins an (overlapping) candidate list of one block to a disjoint pool,
 /// greedily by total gain (ties: gain density).
 std::vector<ise::Candidate> disjoint_pool(const ir::Dfg& dfg,
                                           std::vector<ise::Candidate> cands);
 
-/// Builds the configuration curve for a task. `counts` gives per-block
-/// execution counts — WCET-path counts for the real-time chapters, profiled
-/// counts for the speedup studies. When `items_out` is non-null it receives
-/// the selection_items() the curve was built from, so callers that also need
-/// the task's Pareto items (certify, `isex pareto`) identify only once.
-ConfigCurve build_config_curve(const ir::Program& prog,
-                               const std::vector<std::int64_t>& counts,
-                               const hw::CellLibrary& lib,
-                               const CurveOptions& opts,
-                               std::vector<opt::KnapsackItem>* items_out =
-                                   nullptr);
+/// A configuration curve with the candidates it was built from.
+struct CurveBuild {
+  ConfigCurve curve;
+  /// Each hot block's disjoint pool (disjoint_pool), concatenated in hot
+  /// order; Candidate::block names the block. What certify checks.
+  std::vector<ise::Candidate> pool;
+  /// The additive (gain, area) knapsack items: `pool` after optional
+  /// isomorphic merging. The Chapter 4 Pareto machinery consumes them
+  /// directly (each item is one delta_{i,j} / a_{i,j}).
+  std::vector<opt::KnapsackItem> items;
+};
+
+/// Builds the configuration curve for a task: identification in the hottest
+/// blocks, per-block thinning, isomorphic merging, then curve_from_items.
+/// `counts` gives per-block execution counts — WCET-path counts for the
+/// real-time chapters, profiled counts for the speedup studies.
+CurveBuild build_config_curve(const ir::Program& prog,
+                              const std::vector<std::int64_t>& counts,
+                              const hw::CellLibrary& lib,
+                              const CurveOptions& opts);
 
 /// The knapsack half of build_config_curve: sweeps an exact 0-1 knapsack
-/// over every area budget (quantized to opts.area_grid) and thins the
+/// over every area budget (quantized to kAreaGrid) and thins the
 /// breakpoints to opts.max_points. `base` is the software-only cycle count.
 ConfigCurve curve_from_items(const std::vector<opt::KnapsackItem>& items,
                              double base, const CurveOptions& opts);
-
-/// The additive (gain, area) items the curve is built from: the task's
-/// custom-instruction library after per-block conflict thinning and optional
-/// isomorphic merging. This is the candidate set the Chapter 4 Pareto
-/// machinery consumes directly (each item is one delta_{i,j} / a_{i,j}).
-std::vector<opt::KnapsackItem> selection_items(
-    const ir::Program& prog, const std::vector<std::int64_t>& counts,
-    const hw::CellLibrary& lib, const CurveOptions& opts);
 
 /// Base (software-only) cycle count of the task under `counts`.
 double base_cycles(const ir::Program& prog,

@@ -140,8 +140,6 @@ std::string curve_key(const ir::Program& prog,
   put_u64(k, static_cast<std::uint64_t>(e.constraints.max_outputs));
   put_u64(k, static_cast<std::uint64_t>(e.max_candidate_nodes));
   put_u64(k, static_cast<std::uint64_t>(e.max_candidates));
-  put_f64(k, opts.area_grid);
-  put_u64(k, static_cast<std::uint64_t>(opts.max_hot_blocks));
   put_u64(k, static_cast<std::uint64_t>(opts.max_points));
   put_u64(k, (opts.share_isomorphic ? 1u : 0u) |
                  (opts.disconnected_pairs ? 2u : 0u));

@@ -91,7 +91,8 @@ bool known_benchmark(const std::string& name) {
 }
 
 /// Lifts an inline DFG into a configuration curve through the same
-/// identification pipeline the benchmark tasks use, under the request budget
+/// identification pipeline the benchmark tasks use, with serve's
+/// select::inline_dfg_curve_options and under the request budget
 /// (enumeration truncates gracefully to fewer candidates). With a memo, a
 /// DFG identified before reuses its curve and replays the build's recorded
 /// cost into `budget` (CurveCache::reuse); a build the budget did not cut
@@ -102,8 +103,7 @@ rt::Task task_from_dfg(const TaskSpec& spec, robust::Budget* budget,
   const auto cost =
       ir::Program::sum_cost([&lib](const ir::Node& n) { return lib.sw_cycles(n); });
   const std::vector<std::int64_t> counts = spec.program.wcet_counts(cost);
-  select::CurveOptions copts;
-  copts.enum_opts.max_candidates = 20000;  // inline DFGs are small (<= 256 ops)
+  select::CurveOptions copts = select::inline_dfg_curve_options();
   rt::Task t;
   t.name = spec.name;
   t.period = spec.period;
@@ -123,7 +123,7 @@ rt::Task task_from_dfg(const TaskSpec& spec, robust::Budget* budget,
   const long nodes_before = budget->report().nodes_charged;
   const robust::Budget::MemPhase phase = budget->begin_mem_phase();
   t.configs =
-      select::build_config_curve(spec.program, counts, lib, copts).points;
+      select::build_config_curve(spec.program, counts, lib, copts).curve.points;
   const std::size_t mem_peak = budget->end_mem_phase(phase);
   const robust::BudgetReport after = budget->report();
   if (memo != nullptr && !after.exhausted())
@@ -427,7 +427,6 @@ std::string Server::handle_select(const Request& req, int queue_depth,
 
   robust::FallbackOptions fb;
   fb.start_rung = static_cast<std::size_t>(shed_rung);
-  if (paranoid) fb.certify_pool_cap = -1;
 
   ResultCache::Entry entry;
   std::string result;

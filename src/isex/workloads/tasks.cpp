@@ -13,28 +13,13 @@
 
 namespace isex::workloads {
 
-select::CurveOptions default_curve_options(const ir::Program& prog) {
-  select::CurveOptions opts;
-  // Bound the enumeration effort on kernels with very large basic blocks
-  // (3des); the curve quality saturates long before these caps.
-  int max_block = 0;
-  for (const auto& b : prog.blocks())
-    max_block = std::max(max_block, b.dfg.num_nodes());
-  if (max_block > 600) {
-    opts.enum_opts.max_candidates = 20000;
-    opts.enum_opts.max_candidate_nodes = 16;
-  } else {
-    opts.enum_opts.max_candidates = 60000;
-    opts.enum_opts.max_candidate_nodes = 24;
-  }
-  return opts;
-}
-
 namespace {
 
-/// One memo entry: the task and the knapsack items its curve came from.
+/// One memo entry: the task and the pool and knapsack items its curve came
+/// from.
 struct TaskEntry {
   rt::Task task;
+  std::vector<ise::Candidate> pool;
   std::vector<opt::KnapsackItem> items;
 };
 
@@ -46,11 +31,13 @@ TaskEntry build_task(const std::string& benchmark) {
   const auto cost = ir::Program::sum_cost(
       [&lib](const ir::Node& n) { return lib.sw_cycles(n); });
   const auto counts = prog.wcet_counts(cost);
+  select::CurveBuild build = select::build_config_curve(
+      prog, counts, lib, select::task_curve_options(prog));
   TaskEntry e;
-  auto curve = select::build_config_curve(
-      prog, counts, lib, default_curve_options(prog), &e.items);
   e.task.name = benchmark;
-  e.task.configs = std::move(curve.points);
+  e.task.configs = std::move(build.curve.points);
+  e.pool = std::move(build.pool);
+  e.items = std::move(build.items);
   return e;
 }
 
@@ -82,6 +69,10 @@ const rt::Task& cached_task(const std::string& benchmark) {
 const std::vector<opt::KnapsackItem>& cached_items(
     const std::string& benchmark) {
   return cached_entry(benchmark).items;
+}
+
+const std::vector<ise::Candidate>& cached_pool(const std::string& benchmark) {
+  return cached_entry(benchmark).pool;
 }
 
 void prefetch_tasks(const std::vector<std::string>& names) {

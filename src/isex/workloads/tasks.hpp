@@ -11,23 +11,23 @@
 
 namespace isex::workloads {
 
-/// Curve options the toolchain builds every benchmark task with: enumeration
-/// effort capped by the program's largest basic block (blocks over 600 nodes
-/// get the tighter 20000-call / 16-node caps).
-select::CurveOptions default_curve_options(const ir::Program& prog);
-
-/// Runs the full identification + selection pipeline on a benchmark and
-/// returns it as a periodic task (period unset; callers use
-/// TaskSet::set_periods_for_utilization). Results are memoized per
-/// benchmark — curve construction enumerates thousands of candidates.
+/// Runs the full identification + selection pipeline on a benchmark under
+/// select::task_curve_options and returns it as a periodic task (period
+/// unset; callers use TaskSet::set_periods_for_utilization). Results are
+/// memoized per benchmark — curve construction enumerates thousands of
+/// candidates — and each benchmark is identified once per process.
 const rt::Task& cached_task(const std::string& benchmark);
 
 /// The (area, gain) knapsack items cached_task(benchmark)'s curve was built
 /// from: the custom-instruction library after disjoint-pool thinning and
-/// isomorphic merging (select::selection_items). Shares the task memo, so
+/// isomorphic merging (select::CurveBuild::items). Shares the task memo, so
 /// the Pareto fronts of `isex pareto` / `isex certify` are over exactly the
 /// items the solver's curve came from, with no second identification.
 const std::vector<opt::KnapsackItem>& cached_items(const std::string& benchmark);
+
+/// The disjoint per-block candidate pool cached_items(benchmark) was merged
+/// from (select::CurveBuild::pool): what `isex certify` checks.
+const std::vector<ise::Candidate>& cached_pool(const std::string& benchmark);
 
 /// Builds every not-yet-cached benchmark in `names` concurrently (tasks are
 /// independent, so build order does not affect content) and publishes them

@@ -41,7 +41,8 @@ TEST_P(BenchmarkSweep, CurveIsValidAndCiLibraryLegal) {
   const auto counts = prog.wcet_counts(cost);
   select::CurveOptions opts;
   opts.enum_opts.max_candidates = 8000;  // keep the sweep fast
-  const auto curve = select::build_config_curve(prog, counts, lib(), opts);
+  const auto curve =
+      select::build_config_curve(prog, counts, lib(), opts).curve;
   ASSERT_GE(curve.points.size(), 1u);
   EXPECT_DOUBLE_EQ(curve.points.front().area, 0);
   for (std::size_t i = 1; i < curve.points.size(); ++i) {

@@ -125,6 +125,44 @@ TEST(CertifyCi, PartitionOverlapAndEscapeAreRejected) {
       check_partition(dfg, lib(), mo.constraints, shrunk, parts).ok());
 }
 
+TEST(CertifyCi, CurvePoolMutantsOverlapsAndStrayBlocksAreRejected) {
+  // The pool a task curve was built from certifies clean. Each candidate
+  // mutation, an overlapping candidate, and a candidate naming a block the
+  // program lacks are rejected.
+  const ir::Program prog = workloads::make_benchmark("sha");
+  const auto& pool = workloads::cached_pool("sha");
+  const ise::Constraints c =
+      select::task_curve_options(prog).enum_opts.constraints;
+  ASSERT_FALSE(pool.empty());
+  const auto genuine = check_curve_pool(prog, lib(), c, pool);
+  ASSERT_TRUE(genuine.ok()) << genuine.summary();
+  for (const CandidateMutation m : kCandidateMutations) {
+    bool applied = false;
+    for (std::size_t i = 0; i < pool.size() && !applied; ++i) {
+      auto mutant = pool;
+      applied = apply(m, prog.block(pool[i].block).dfg, mutant[i]);
+      if (applied) {
+        EXPECT_FALSE(check_curve_pool(prog, lib(), c, mutant).ok())
+            << "checker silently passed mutant " << name(m);
+      }
+    }
+    EXPECT_TRUE(applied) << "mutation " << name(m)
+                         << " applied to no candidate";
+  }
+
+  auto overlap = pool;
+  overlap.push_back(pool.front());
+  const auto rep = check_curve_pool(prog, lib(), c, overlap);
+  bool disjoint = false;
+  for (const auto& v : rep.violations)
+    disjoint |= v.check == "partition.disjoint";
+  EXPECT_TRUE(disjoint) << rep.summary();
+
+  auto stray = pool;
+  stray.front().block = prog.num_blocks();
+  EXPECT_FALSE(check_curve_pool(prog, lib(), c, stray).ok());
+}
+
 // --- selection-feasibility certificates --------------------------------------
 
 rt::TaskSet small_taskset() {
@@ -407,14 +445,6 @@ TEST(CertifyLadder, RealLaddersCarryPassingCertificates) {
       ts, budget, customize::RmsOptions{}, &b2);
   EXPECT_TRUE(rms.certificate.ok()) << rms.certificate.summary();
 
-  util::Rng rng(31);
-  const ir::Dfg dfg = isex::testing::random_dfg(rng, 3, 30, 0.1);
-  robust::Budget b3;
-  b3.set_node_budget(1000000);
-  const auto pool = robust::enumerate_with_fallback(
-      dfg, lib(), ise::EnumOptions{}, &b3);
-  EXPECT_TRUE(pool.certificate.ok()) << pool.certificate.summary();
-  EXPECT_GT(pool.certificate.checks, 0);
 }
 
 // --- cell-library validation -------------------------------------------------

@@ -129,7 +129,8 @@ TEST_P(CurveProperty, CurveIsAValidParetoStaircase) {
   ir::Program p = one_block_program(rng, 50);
   const auto counts = p.wcet_counts(ir::Program::sum_cost(
       [](const ir::Node& n) { return lib().sw_cycles(n); }));
-  const auto curve = build_config_curve(p, counts, lib(), CurveOptions{});
+  const auto curve =
+      build_config_curve(p, counts, lib(), CurveOptions{}).curve;
   ASSERT_GE(curve.points.size(), 1u);
   EXPECT_DOUBLE_EQ(curve.points.front().area, 0.0);
   for (std::size_t i = 1; i < curve.points.size(); ++i) {
@@ -151,7 +152,8 @@ TEST_P(CurveProperty, GainNeverExceedsBaseCycles) {
   ir::Program p = one_block_program(rng, 30);
   const auto counts = p.wcet_counts(ir::Program::sum_cost(
       [](const ir::Node& n) { return lib().sw_cycles(n); }));
-  const auto curve = build_config_curve(p, counts, lib(), CurveOptions{});
+  const auto curve =
+      build_config_curve(p, counts, lib(), CurveOptions{}).curve;
   for (const auto& pt : curve.points) {
     EXPECT_GT(pt.cycles, 0);
     EXPECT_LE(pt.cycles, curve.base_cycles());
@@ -180,8 +182,8 @@ TEST(Curve, IsomorphicSharingNeverWorse) {
   CurveOptions shared;
   CurveOptions solo;
   solo.share_isomorphic = false;
-  const auto cs = build_config_curve(p, counts, lib(), shared);
-  const auto cn = build_config_curve(p, counts, lib(), solo);
+  const auto cs = build_config_curve(p, counts, lib(), shared).curve;
+  const auto cn = build_config_curve(p, counts, lib(), solo).curve;
   // At every budget, sharing achieves at most the unshared cycle count.
   for (double a = 0; a <= cn.max_area(); a += 5)
     EXPECT_LE(cs.cycles_at(a), cn.cycles_at(a) + 1e-9);

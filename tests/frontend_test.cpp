@@ -382,8 +382,8 @@ TEST(Lift, BudgetExhaustionIsTyped) {
 TEST(Lift, EveryFixtureCertifiesAndFeedsTheSolvers) {
   // The acceptance contract: each fixture lifts, passes the independent
   // well-formedness witness, its per-block enumeration pools certify as
-  // CI-legal (uncapped, i.e. --paranoid strength), and the selection stage
-  // builds a non-trivial configuration curve.
+  // CI-legal, and the selection stage builds a non-trivial configuration
+  // curve from a pool that certifies as legal and disjoint.
   const auto& lib = hw::CellLibrary::standard_018um();
   for (const Fixture& f : fixtures()) {
     const LiftResult r = lift_elf(f.elf, f.name, LiftOptions{});
@@ -400,13 +400,11 @@ TEST(Lift, EveryFixtureCertifiesAndFeedsTheSolvers) {
 
     ise::EnumOptions eo;
     eo.max_candidates = 20000;
-    certify::PoolCheckOptions po;
-    po.max_full_checks = -1;
     for (int b = 0; b < L.program.num_blocks(); ++b) {
       const ir::Dfg& dfg = L.program.block(b).dfg;
       const auto pool = ise::enumerate_candidates(dfg, lib, eo, b, 1);
       const auto rep =
-          certify::check_candidate_pool(dfg, lib, eo.constraints, pool, po);
+          certify::check_candidate_pool(dfg, lib, eo.constraints, pool);
       EXPECT_TRUE(rep.ok()) << f.name << " block " << b << ": "
                             << rep.summary();
     }
@@ -414,8 +412,12 @@ TEST(Lift, EveryFixtureCertifiesAndFeedsTheSolvers) {
     const auto cost = ir::Program::sum_cost(
         [&lib](const ir::Node& n) { return lib.sw_cycles(n); });
     const auto counts = L.program.wcet_counts(cost);
-    const auto curve = select::build_config_curve(L.program, counts, lib,
-                                                  select::CurveOptions{});
+    const select::CurveOptions co = select::task_curve_options(L.program);
+    const auto build = select::build_config_curve(L.program, counts, lib, co);
+    const auto pool_rep = certify::check_curve_pool(
+        L.program, lib, co.enum_opts.constraints, build.pool);
+    EXPECT_TRUE(pool_rep.ok()) << f.name << ": " << pool_rep.summary();
+    const select::ConfigCurve& curve = build.curve;
     EXPECT_GE(curve.points.size(), 2u)
         << f.name << ": no customization headroom found";
     EXPECT_LT(curve.best_cycles(), curve.base_cycles()) << f.name;

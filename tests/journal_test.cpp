@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <regex>
@@ -21,6 +22,20 @@
 #include "isex/obs/metrics.hpp"
 #include "isex/serve/json.hpp"
 #include "isex/serve/server.hpp"
+
+namespace isex::obs {
+
+/// Publishes a record for a chosen sequence number, as a writer that
+/// reserved `seq` and stalled until now would.
+struct JournalTestPeer {
+  static void publish_late(Journal& j, const JournalRecord& rec) {
+    std::uint64_t w[Journal::kRecordWords];
+    std::memcpy(w, &rec, sizeof(rec));
+    j.write_slot(rec.seq, w);
+  }
+};
+
+}  // namespace isex::obs
 
 namespace isex {
 namespace {
@@ -161,6 +176,37 @@ TEST(Journal, MtStressNoTornRecords) {
   verify(recs);
   for (std::size_t k = 1; k < recs.size(); ++k)
     EXPECT_EQ(recs[k].seq, recs[k - 1].seq + 1);
+}
+
+// A writer that reserved seq 2 and stalled while the ring lapped it: seq 6
+// (2 + capacity) already owns the slot. Publishing late must drop seq 2's
+// record and count it, not leave the slot holding the older record.
+TEST(Journal, LappedWriterDropsItsRecordAndKeepsTheNewerOne) {
+  auto& j = Journal::global();
+  j.set_capacity(4);
+  for (int i = 1; i <= 6; ++i)
+    j.record(JournalKind::kMark, JournalPhase::kNone, 0, i, 0, 7);
+  JournalRecord late;
+  late.seq = 2;
+  late.kind = JournalKind::kMark;
+  late.v0 = -2;
+  obs::JournalTestPeer::publish_late(j, late);
+  EXPECT_EQ(j.dropped(), 1u);
+
+  std::uint64_t torn = 0;
+  const auto recs = j.snapshot(0, &torn);
+  EXPECT_EQ(torn, 0u);
+  ASSERT_EQ(recs.size(), 4u);
+  for (std::size_t k = 0; k < recs.size(); ++k) {
+    EXPECT_EQ(recs[k].seq, k + 3);
+    EXPECT_EQ(recs[k].v0, static_cast<std::int64_t>(k + 3));
+  }
+  // The next lap publishes over seq 3 as usual.
+  j.record(JournalKind::kMark, JournalPhase::kNone, 0, 7, 0, 7);
+  EXPECT_EQ(j.dropped(), 1u);
+  EXPECT_EQ(j.snapshot(1).front().v0, 7);
+  j.clear();
+  EXPECT_EQ(j.dropped(), 0u);
 }
 
 TEST(Journal, BinaryDumpRoundTripsAndToleratesTruncation) {

@@ -190,7 +190,7 @@ TEST(ParallelDeterminism, ConfigCurvesByteIdenticalOnEveryKernel) {
     {
       ThreadCap cap(1);
       baseline = serialize_curve(
-          select::build_config_curve(prog, counts, lib(), opts));
+          select::build_config_curve(prog, counts, lib(), opts).curve);
     }
     ASSERT_FALSE(baseline.empty()) << name;
     // Every kernel at 4 threads; the heavy/cap-binding ones at 2 and 8 too.
@@ -199,7 +199,7 @@ TEST(ParallelDeterminism, ConfigCurvesByteIdenticalOnEveryKernel) {
     for (int t : threads) {
       ThreadCap cap(t);
       EXPECT_EQ(baseline, serialize_curve(select::build_config_curve(
-                              prog, counts, lib(), opts)))
+                              prog, counts, lib(), opts).curve))
           << name << " at " << t << " threads";
     }
   }

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <functional>
 #include <thread>
-#include <unordered_set>
 
 #include "isex/customize/select_edf.hpp"
 #include "isex/customize/select_rms.hpp"
@@ -376,23 +375,6 @@ TEST(Ladders, UnlimitedLadderEqualsPlainSolver) {
   const auto plain = customize::select_edf(ts, area);
   EXPECT_EQ(out.status, Status::kExact);
   EXPECT_EQ(out.value.assignment, plain.assignment);
-}
-
-TEST(Ladders, EnumerationLadderMergesRungPools) {
-  util::Rng rng(53);
-  const auto dfg = testing::random_dfg(rng, 6, 100, 0.0);
-  const auto& lib = hw::CellLibrary::standard_018um();
-  Budget b;
-  b.set_node_budget(20);
-  const auto out =
-      robust::enumerate_with_fallback(dfg, lib, ise::EnumOptions{}, &b);
-  EXPECT_NE(out.status, Status::kInfeasible);
-  // The miso rung is linear and unbudgeted, so the pool is never empty on a
-  // DFG with valid ops.
-  EXPECT_FALSE(out.value.empty());
-  // No duplicate candidate node sets across merged rungs.
-  std::unordered_set<util::Bitset, util::BitsetHash> seen;
-  for (const auto& c : out.value) EXPECT_TRUE(seen.insert(c.nodes).second);
 }
 
 // --- simulator validation ----------------------------------------------------

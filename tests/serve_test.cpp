@@ -292,9 +292,8 @@ TEST(ServeCurveCache, DistinctKeysOnOneHashBucketStayCorrect) {
   ASSERT_NE(ka, kx);
   EXPECT_EQ(ka, curve_key(program(ir::Opcode::kAdd), {1}, lib, co));
   EXPECT_NE(ka, curve_key(program(ir::Opcode::kAdd), {2}, lib, co));
-  select::CurveOptions capped = co;
-  capped.enum_opts.max_candidates = 20000;
-  EXPECT_NE(ka, curve_key(program(ir::Opcode::kAdd), {1}, lib, capped));
+  EXPECT_NE(ka, curve_key(program(ir::Opcode::kAdd), {1}, lib,
+                          select::inline_dfg_curve_options()));
 
   CurveCache memo{CacheOptions{}};
   robust::Budget budget;

@@ -3,6 +3,12 @@
 // energy/DVFS model invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "isex/energy/dvfs.hpp"
 #include "isex/workloads/tasks.hpp"
 #include "isex/workloads/workloads.hpp"
@@ -76,19 +82,36 @@ TEST(Tasks, CachedTaskHasValidCurve) {
 
 TEST(Tasks, CachedItemsRebuildTheCachedCurve) {
   // The memo's knapsack items are the ones the curve was built from: the
-  // knapsack half of build_config_curve over them gives the curve back.
+  // knapsack half of build_config_curve over them gives the curve back. And
+  // the memo's pool is the one the items came from: merging it by
+  // isomorphism class (gains summed, the largest area kept) gives the items.
   prefetch_tasks(benchmark_names());
+  using AreaGain = std::pair<double, double>;
   for (const auto& k : benchmark_names()) {
     const auto& t = cached_task(k);
     const auto rebuilt = select::curve_from_items(
         cached_items(k), t.sw_cycles(),
-        default_curve_options(make_benchmark(k)));
+        select::task_curve_options(make_benchmark(k)));
     ASSERT_EQ(rebuilt.points.size(), t.configs.size()) << k;
     for (std::size_t i = 0; i < t.configs.size(); ++i) {
       EXPECT_EQ(rebuilt.points[i].area, t.configs[i].area) << k << " #" << i;
       EXPECT_EQ(rebuilt.points[i].cycles, t.configs[i].cycles)
           << k << " #" << i;
     }
+
+    std::map<std::uint64_t, AreaGain> classes;
+    for (const auto& c : cached_pool(k)) {
+      AreaGain& ag =
+          classes.try_emplace(c.iso_hash, c.est.area, 0.0).first->second;
+      ag.first = std::max(ag.first, c.est.area);
+      ag.second += c.total_gain();
+    }
+    std::vector<AreaGain> merged, items;
+    for (const auto& [h, ag] : classes) merged.push_back(ag);
+    for (const auto& it : cached_items(k)) items.emplace_back(it.area, it.gain);
+    std::sort(merged.begin(), merged.end());
+    std::sort(items.begin(), items.end());
+    EXPECT_EQ(merged, items) << k;
   }
 }
 
