@@ -31,9 +31,9 @@
 //                           or a plain number of seconds
 //   --node-budget <n>       work budget in solver charges: "500K", "2M", "1G"
 //   --mem-budget <b>        accounted-memory budget: "64M", "1G" (bytes)
-//   --threads <n>           solver worker threads (default: hardware
-//                           concurrency, or ISEX_THREADS; 1 = exact legacy
-//                           serial execution)
+//   --threads <n>           threads for cold task builds across kernels
+//                           (default: hardware concurrency, or
+//                           ISEX_THREADS); every solver runs serially
 //   --strict                exit 3 when any solver result is not Exact
 //   --paranoid              run the witness checkers on every solver answer
 //                           (certify/) and exit 4 on any certificate failure
@@ -137,8 +137,9 @@ int usage() {
       "  --time-budget <t>      solver wall-clock budget (e.g. 50ms, 2s)\n"
       "  --node-budget <n>      solver work budget in charges (e.g. 500K, 2M)\n"
       "  --mem-budget <b>       solver memory budget in bytes (e.g. 64M, 1G)\n"
-      "  --threads <n>          solver worker threads (default: hardware\n"
-      "                         concurrency or ISEX_THREADS; 1 = serial)\n"
+      "  --threads <n>          threads for cold task builds across kernels\n"
+      "                         (default: hardware concurrency or\n"
+      "                         ISEX_THREADS); solvers always run serially\n"
       "  --strict               exit 3 when any solver result is not Exact\n"
       "  --paranoid             certify every solver answer; exit 4 on any\n"
       "                         certificate failure\n");

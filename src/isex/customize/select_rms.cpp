@@ -1,15 +1,12 @@
 #include "isex/customize/select_rms.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
-#include <memory>
 #include <numeric>
 #include <string>
 
 #include "isex/obs/trace.hpp"
 #include "isex/rt/schedulability.hpp"
-#include "isex/util/task_pool.hpp"
 
 namespace isex::customize {
 
@@ -19,13 +16,6 @@ struct Search {
   const rt::TaskSet& ts;
   double area_budget;
   const RmsOptions& opts;
-
-  /// Parallel mode only: the cross-branch incumbent. Pruning against it must
-  /// be *strict* (>) — a subtree able to merely equal a known solution may
-  /// still hold the leftmost occurrence of the optimum, which is the one the
-  /// serial search reports. The branch-local incumbent keeps the serial
-  /// non-strict (>=) prune.
-  std::atomic<double>* shared_best = nullptr;
 
   std::vector<double> min_util_suffix;  // best possible utilization of tasks i..N-1
   std::vector<double> periods;
@@ -72,23 +62,12 @@ struct Search {
         best_assignment = current;
         found = true;
         ++incumbent_updates;
-        if (shared_best != nullptr) {
-          double cur = shared_best->load(std::memory_order_relaxed);
-          while (util < cur && !shared_best->compare_exchange_weak(
-                                   cur, util, std::memory_order_relaxed)) {
-          }
-        }
       }
       return;
     }
-    if (opts.use_bound_pruning) {
-      const double lb = util + min_util_suffix[level];
-      if (lb >= best_util ||
-          (shared_best != nullptr &&
-           lb > shared_best->load(std::memory_order_relaxed))) {
-        ++bound_pruned;
-        return;
-      }
+    if (opts.use_bound_pruning && util + min_util_suffix[level] >= best_util) {
+      ++bound_pruned;
+      return;
     }
 
     const rt::Task& t = ts.tasks[level];
@@ -122,148 +101,11 @@ struct Search {
   }
 };
 
-/// One search-tree prefix (a partial assignment of tasks 0..depth-1) used to
-/// split the B&B across workers.
-struct RmsPrefix {
-  std::vector<int> assign;
-  std::vector<double> cycles;
-  double util = 0;
-  double area = 0;  // remaining area
-};
-
-/// Parallel B&B over root prefixes, byte-identical to the serial search.
-///
-/// The serial answer is the *leftmost* (in DFS order) occurrence of the
-/// minimum utilization: before the first optimal leaf is reached, the
-/// incumbent is strictly above the optimum, so no node on the path to that
-/// leaf satisfies the non-strict bound prune (its lower bound is <= the
-/// optimum). The same argument shows that strict (>) pruning against any
-/// shared incumbent value (always >= the optimum, it is some real solution)
-/// can never cut the leftmost optimal leaf of any branch. Each branch runs
-/// with a local incumbent from infinity and full serial semantics, and the
-/// left-to-right strictly-improving merge therefore reproduces exactly the
-/// serial best_util and best_assignment; the shared incumbent only removes
-/// work that cannot strictly improve, and only nodes/pruning *counters* are
-/// scheduling-dependent.
-RmsResult select_rms_parallel(const rt::TaskSet& ts, double area_budget,
-                              const RmsOptions& opts) {
-  // Expand shallow levels in exact serial child order until there are enough
-  // branches to feed the pool.
-  std::vector<RmsPrefix> frontier{{{}, {}, 0.0, area_budget}};
-  std::vector<double> periods;
-  for (const auto& task : ts.tasks) periods.push_back(task.period);
-  long prefix_nodes = 0, prefix_area_pruned = 0, prefix_sched_pruned = 0;
-  std::size_t depth = 0;
-  const std::size_t target =
-      static_cast<std::size_t>(util::max_threads()) * 4;
-  const std::size_t depth_cap = std::min<std::size_t>(3, ts.size() - 1);
-  while (depth < depth_cap && frontier.size() < target &&
-         !frontier.empty()) {
-    const rt::Task& t = ts.tasks[depth];
-    std::vector<std::size_t> order(t.configs.size());
-    std::iota(order.begin(), order.end(), 0u);
-    if (opts.fastest_first)
-      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return t.configs[a].cycles < t.configs[b].cycles;
-      });
-    std::vector<RmsPrefix> next;
-    for (RmsPrefix& p : frontier) {
-      ++prefix_nodes;  // the run() call this expansion stands in for
-      for (std::size_t j : order) {
-        const auto& cfg = t.configs[j];
-        if (cfg.area > p.area + 1e-9) {
-          ++prefix_area_pruned;
-          continue;
-        }
-        RmsPrefix child = p;
-        child.cycles.push_back(cfg.cycles);
-        if (!rt::rms_task_schedulable(
-                static_cast<int>(depth), child.cycles,
-                {periods.begin(),
-                 periods.begin() + static_cast<long>(depth) + 1})) {
-          ++prefix_sched_pruned;
-          child.cycles.pop_back();
-          continue;
-        }
-        child.assign.push_back(static_cast<int>(j));
-        child.util = p.util + cfg.cycles / t.period;
-        child.area = p.area - cfg.area;
-        next.push_back(std::move(child));
-      }
-    }
-    frontier = std::move(next);
-    ++depth;
-  }
-
-  std::atomic<double> shared_best{std::numeric_limits<double>::infinity()};
-  std::vector<std::unique_ptr<Search>> branches(frontier.size());
-  util::parallel_for(frontier.size(), [&](std::size_t i) {
-    auto s = std::make_unique<Search>(ts, area_budget, opts);
-    s->shared_best = &shared_best;
-    const RmsPrefix& p = frontier[i];
-    for (std::size_t l = 0; l < depth; ++l) {
-      s->current[l] = p.assign[l];
-      s->cycles[l] = p.cycles[l];
-    }
-    s->run(depth, p.util, p.area);
-    branches[i] = std::move(s);
-  });
-
-  // Left-to-right strictly-improving merge == serial leftmost optimum.
-  long nodes = prefix_nodes, bound_pruned = 0, area_pruned = prefix_area_pruned,
-       sched_pruned = prefix_sched_pruned, incumbent_updates = 0;
-  double best_util = std::numeric_limits<double>::infinity();
-  std::vector<int> best_assignment;
-  bool found = false;
-  for (const auto& s : branches) {
-    nodes += s->nodes;
-    bound_pruned += s->bound_pruned;
-    area_pruned += s->area_pruned;
-    sched_pruned += s->sched_pruned;
-    incumbent_updates += s->incumbent_updates;
-    if (s->found && s->best_util < best_util) {
-      best_util = s->best_util;
-      best_assignment = s->best_assignment;
-      found = true;
-    }
-  }
-  ISEX_COUNT("customize.rms.runs");
-  ISEX_COUNT_ADD("customize.rms.nodes", nodes);
-  ISEX_COUNT_ADD("customize.rms.bound_pruned", bound_pruned);
-  ISEX_COUNT_ADD("customize.rms.area_pruned", area_pruned);
-  ISEX_COUNT_ADD("customize.rms.sched_pruned", sched_pruned);
-  ISEX_COUNT_ADD("customize.rms.incumbent_updates", incumbent_updates);
-
-  RmsResult res;
-  res.nodes_visited = nodes;
-  res.found_feasible = found;
-  res.completed = true;  // no cap/budget in the parallel mode
-  if (found) {
-    res.assignment = best_assignment;
-    res.schedulable = true;
-  } else {
-    res.assignment.assign(ts.size(), 0);
-    res.schedulable = false;
-  }
-  res.utilization = ts.utilization(res.assignment);
-  res.area_used = ts.area(res.assignment);
-  return res;
-}
-
 }  // namespace
 
 RmsResult select_rms(const rt::TaskSet& ts, double area_budget,
                      const RmsOptions& opts) {
   ISEX_SPAN_CAT("customize.select_rms", "customize");
-  // The parallel split requires: no budget (a budget with deterministic
-  // limits pins the serial truncation schedule, and certify relies on
-  // max_nodes runs being exactly reproducible), no node cap, a few tasks to
-  // split on, and more than one thread. nodes_visited/pruning counters are
-  // scheduling-dependent in parallel runs; the selection itself is
-  // byte-identical to serial.
-  if (util::max_threads() > 1 && opts.budget == nullptr &&
-      opts.max_nodes < 0 && ts.size() >= 5)
-    return select_rms_parallel(ts, area_budget, opts);
   Search s(ts, area_budget, opts);
   s.run(0, 0, area_budget);
   ISEX_COUNT("customize.rms.runs");

@@ -9,6 +9,13 @@
 // of all remaining tasks, against the incumbent; (b) area-infeasible
 // configurations; (c) configurations are tried fastest-first so a good
 // incumbent appears early.
+//
+// The search is one serial depth-first walk, so its answer, node count and
+// pruning counters depend only on the input, never on the thread count. The
+// answer is the leftmost (DFS-order) minimum: until the first optimal leaf
+// is reached the incumbent lies strictly above the optimum, so the
+// non-strict bound prune (>=) cannot cut the path to it. That holds for any
+// admissible lower bound.
 #pragma once
 
 #include "isex/customize/select_edf.hpp"

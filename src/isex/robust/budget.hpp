@@ -19,18 +19,15 @@
 // `Budget*`; a null pointer means unlimited and costs one branch per check,
 // so budget-free runs remain bit-identical to the pre-budget code paths.
 //
-// Sharing across workers: the counters and exhaustion latches are relaxed
-// atomics, so one Budget may be charged concurrently from every thread of a
-// parallel solver. Configure (set_*) before sharing; reports taken while
-// workers still run are racy snapshots. Workers should charge through a
-// worker-local BudgetShare, which batches charges into strides — one atomic
-// add per stride instead of per charge — and latches exhaustion/cancel
-// cooperatively within one stride on every thread. Budgets with
-// *deterministic* limits (nodes or memory) imply the deterministic serial
-// schedule: parallel solvers check deterministic_limits() and fall back to
-// their exact legacy single-threaded paths, which keeps node-budget runs
-// byte-reproducible — the property the determinism test suite and certify
-// depend on.
+// Sharing across threads: the counters and exhaustion latches are relaxed
+// atomics, so one Budget may be charged concurrently from several threads.
+// Configure (set_*) before sharing; reports taken while others still charge
+// are racy snapshots. A hot loop may charge through a BudgetShare, which
+// batches charges into strides — one atomic add per stride instead of per
+// charge — and latches exhaustion/cancel within one stride. Every budgeted
+// solver runs serially, so a node or memory budget stops it at an
+// input-determined point: budgeted runs are byte-reproducible, the property
+// the determinism tests and certify depend on.
 #pragma once
 
 #include <atomic>
@@ -128,14 +125,6 @@ class Budget {
 
   bool has_limits() const {
     return deadline_ns_ > 0 || node_budget_ >= 0 || mem_budget_ > 0;
-  }
-
-  /// True when some limit makes truncation points input-determined (node or
-  /// memory budgets, as opposed to wall-clock only). Parallel solvers must
-  /// run their exact serial schedule under such budgets so truncated results
-  /// stay byte-reproducible.
-  bool deterministic_limits() const {
-    return node_budget_ >= 0 || mem_budget_ > 0;
   }
 
   /// Charges n units of work. Returns true when the caller must stop

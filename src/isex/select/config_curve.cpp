@@ -7,7 +7,6 @@
 
 #include "isex/codegen/schedule.hpp"
 #include "isex/obs/trace.hpp"
-#include "isex/util/task_pool.hpp"
 
 namespace isex::select {
 
@@ -125,19 +124,13 @@ void selection_items(const ir::Program& prog,
            contribution[static_cast<std::size_t>(b)];
   });
 
-  // Candidate pool: disjoint per block, merged across blocks. Blocks are
-  // independent, so they fan out across the pool (each block enumerates
-  // serially on one worker); the merge appends per-block pools in hot
-  // order, so the result is byte-identical to the serial loop. With a
-  // budget that has deterministic limits the serial loop is kept: its
-  // in-order charging decides where a truncated run stops enumerating.
+  // Candidate pool: disjoint per block, merged across blocks in hot order.
   const int hot = std::min<int>(kMaxHotBlocks, prog.num_blocks());
-  std::vector<std::vector<ise::Candidate>> block_pools(
-      static_cast<std::size_t>(hot));
-  auto build_block = [&](std::size_t i) {
-    const int b = order[i];
+  std::vector<ise::Candidate>& pool = out.pool;
+  for (int i = 0; i < hot; ++i) {
+    const int b = order[static_cast<std::size_t>(i)];
     const auto freq = static_cast<double>(counts[static_cast<std::size_t>(b)]);
-    if (freq <= 0) return;
+    if (freq <= 0) continue;
     auto cands = ise::enumerate_candidates(prog.block(b).dfg, lib,
                                            opts.enum_opts, b, freq);
     auto block_pool = disjoint_pool(prog.block(b).dfg, cands);
@@ -156,20 +149,8 @@ void selection_items(const ir::Program& prog,
       };
       if (total(pair_pool) > total(block_pool)) block_pool = std::move(pair_pool);
     }
-    block_pools[i] = std::move(block_pool);
-  };
-  const robust::Budget* budget = opts.enum_opts.budget;
-  const bool parallel_blocks =
-      util::max_threads() > 1 &&
-      (budget == nullptr || !budget->deterministic_limits());
-  if (parallel_blocks)
-    util::parallel_for(static_cast<std::size_t>(hot), build_block);
-  else
-    for (int i = 0; i < hot; ++i) build_block(static_cast<std::size_t>(i));
-
-  std::vector<ise::Candidate>& pool = out.pool;
-  for (auto& bp : block_pools)
-    for (auto& c : bp) pool.push_back(std::move(c));
+    for (auto& c : block_pool) pool.push_back(std::move(c));
+  }
 
   // Isomorphic instructions (same datapath shape) may share one hardware
   // implementation: a whole isomorphism class becomes one item whose gain is

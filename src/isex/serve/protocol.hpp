@@ -118,7 +118,7 @@ struct Request {
   long node_budget = -1;
   std::size_t mem_budget_bytes = 0;
   bool budget_clamped = false;  // some requested budget exceeded the cap
-  bool paranoid = false;        // exhaustive certification for this request
+  bool paranoid = false;        // bypass the curve memo, own cache key
 };
 
 struct DecodeError {

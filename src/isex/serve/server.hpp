@@ -72,7 +72,10 @@ struct ServerOptions {
   long default_node_budget = 2'000'000;
   std::size_t default_mem_budget_bytes = std::size_t{256} << 20;
   CacheOptions cache;  // bounds each memo: results and inline-DFG curves
-  bool paranoid = false;  // exhaustive certification on every request
+  /// Every request identifies its inline DFGs cold, bypassing the curve
+  /// memo, and its results sit under their own result-cache key. Every
+  /// answer is certified whether or not this is set.
+  bool paranoid = false;
   /// Periodic introspection flush: every stats_interval_seconds the run()
   /// loop writes the introspect JSON to stats_path via the atomic
   /// temp+rename writer (empty path or interval <= 0 disables it). Readers

@@ -88,6 +88,7 @@ void prefetch_tasks(const std::vector<std::string>& names) {
   // cached_task serializes builds under the cache lock; with several cold
   // kernels and threads available, build them outside the lock concurrently
   // (a task's content is independent of build order) and publish at the end.
+  // This is the library's one parallel region: each build runs serially.
   if (missing.size() <= 1 || util::max_threads() <= 1) return;
   std::vector<TaskEntry> built(missing.size());
   util::parallel_for(missing.size(),

@@ -1,13 +1,15 @@
-// Parallel solver core — byte-identity across thread counts.
+// Byte-identity across thread counts.
 //
 // The contract under test: any thread count produces results byte-identical
-// to --threads 1 (the exact legacy serial schedule). Covered here:
+// to --threads 1. Only cold task builds fan out (across kernels); every
+// solver runs serially, so this guards against a thread count leaking into
+// an answer. Covered here:
 //   * ir::Dfg::is_convex (union-based) vs the reference O(V) scan;
 //   * candidate enumeration, including the max_candidates-capped regime:
 //     one block enumerates serially at any thread count, so the truncation
 //     point and the enumeration work counters must not move;
 //   * full configuration curves over every registered benchmark kernel;
-//   * RMS branch-and-bound and EDF DP selections;
+//   * RMS branch-and-bound (with its node count) and EDF DP selections;
 //   * wall-clock-truncated runs: never better than exact, every emitted
 //     candidate also emitted by the unbudgeted run;
 //   * the --threads CLI flag (parse, reject, byte-identical certify
@@ -211,14 +213,20 @@ TEST(ParallelDeterminism, RmsSelectionByteIdenticalAcrossThreadCounts) {
   ts.sort_by_period();
   const double budget = 0.5 * ts.max_area();
   std::string baseline;
+  long baseline_nodes = 0;
   {
     ThreadCap cap(1);
-    baseline = serialize_selection(customize::select_rms(ts, budget));
+    const auto sel = customize::select_rms(ts, budget);
+    baseline = serialize_selection(sel);
+    baseline_nodes = sel.nodes_visited;
   }
+  ASSERT_GT(baseline_nodes, 0);
   for (int t : {2, 4, 8}) {
     ThreadCap cap(t);
-    EXPECT_EQ(baseline, serialize_selection(customize::select_rms(ts, budget)))
-        << t << " threads";
+    const auto sel = customize::select_rms(ts, budget);
+    EXPECT_EQ(baseline, serialize_selection(sel)) << t << " threads";
+    // The search is serial, so its work does not depend on threads either.
+    EXPECT_EQ(baseline_nodes, sel.nodes_visited) << t << " threads";
   }
 }
 

@@ -1,6 +1,6 @@
-// util::parallel_for — the contract every byte-identical
-// parallel solver is built on: fn(i) exactly once per index, full visibility
-// on return, deadlock-free nesting, exception propagation.
+// util::parallel_for — the contract the cold task builds rely on: fn(i)
+// exactly once per index, full visibility on return, nesting that runs
+// inline, concurrent callers, exception propagation.
 #include "isex/util/task_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -87,6 +87,23 @@ TEST(TaskPoolTest, NestedParallelForCompletes) {
   EXPECT_EQ(total, static_cast<long>(kOuter * kInner));
 }
 
+/// A parallel_for inside another starts no threads of its own: every inner
+/// index runs on the thread that runs the outer index.
+TEST(TaskPoolTest, NestedParallelForRunsOnItsCallersThread) {
+  ThreadCap cap(4);
+  constexpr std::size_t kOuter = 8, kInner = 32;
+  std::vector<std::atomic<int>> off_thread(kOuter);
+  parallel_for(kOuter, [&](std::size_t o) {
+    const std::thread::id outer = std::this_thread::get_id();
+    parallel_for(kInner, [&](std::size_t) {
+      if (std::this_thread::get_id() != outer)
+        off_thread[o].fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  for (std::size_t o = 0; o < kOuter; ++o)
+    EXPECT_EQ(off_thread[o].load(), 0) << "outer index " << o;
+}
+
 TEST(TaskPoolTest, ExceptionPropagates) {
   ThreadCap cap(4);
   EXPECT_THROW(parallel_for(256,
@@ -95,7 +112,7 @@ TEST(TaskPoolTest, ExceptionPropagates) {
                                 throw std::runtime_error("boom");
                             }),
                std::runtime_error);
-  // The pool must still be usable after an exceptional batch.
+  // parallel_for must still work after an exceptional region.
   std::atomic<long> sum{0};
   parallel_for(100, [&](std::size_t i) {
     sum.fetch_add(static_cast<long>(i), std::memory_order_relaxed);
@@ -103,7 +120,7 @@ TEST(TaskPoolTest, ExceptionPropagates) {
   EXPECT_EQ(sum.load(), 4950);
 
   // An exception thrown inside a nested region reaches the outer caller,
-  // and the pool still runs the next batch.
+  // and the next region still runs.
   EXPECT_THROW(parallel_for(8,
                             [&](std::size_t o) {
                               parallel_for(32, [&](std::size_t i) {
@@ -119,9 +136,8 @@ TEST(TaskPoolTest, ExceptionPropagates) {
   EXPECT_EQ(sum.load(), 4950);
 }
 
-/// Two threads outside the pool (a serve thread next to the main thread)
-/// each open nested regions at the same time; batches from both callers
-/// interleave in the pool and every index still runs exactly once.
+/// Two outside threads (a serve thread next to the main thread) each open
+/// nested regions at the same time; every index still runs exactly once.
 TEST(TaskPoolTest, ConcurrentExternalCallers) {
   ThreadCap cap(4);
   constexpr std::size_t kOuter = 6, kInner = 40;
@@ -146,8 +162,8 @@ TEST(TaskPoolTest, ConcurrentExternalCallers) {
       ASSERT_EQ(h[k].load(), 1) << "index " << k;
 }
 
-/// Stress for the batch claims (and for tsan): many small batches with
-/// uneven per-index work, from repeated parallel regions.
+/// Stress for the index claims (and for tsan): many small regions with
+/// uneven per-index work.
 TEST(TaskPoolTest, RepeatedUnevenBatchesStress) {
   ThreadCap cap(8);
   for (int round = 0; round < 50; ++round) {
